@@ -265,7 +265,7 @@ pub struct ClusterConfig {
     /// the headline `RunStats` are bit-identical with or without this —
     /// `None` (the default) keeps pre-observability configs
     /// parsing and reproducing unchanged.
-    pub obs: Option<hetsched_obs::ObsSpec>,
+    pub obs: Option<crate::obs::ObsSpec>,
     /// The front-end dispatch tier (see [`hetsched_dispatch`]). The
     /// default — one dispatcher, no state-sync — is structurally
     /// invisible, so configs serialized before the tier existed parse
@@ -405,6 +405,12 @@ impl ClusterConfig {
                 "speeds must be positive and finite".into(),
             ));
         }
+        let total_speed = self.total_speed();
+        if !total_speed.is_finite() {
+            return Err(HetschedError::InvalidConfig(format!(
+                "speeds must have a finite sum, got {total_speed}"
+            )));
+        }
         if self.utilization >= 1.0 {
             return Err(HetschedError::Saturated);
         }
@@ -425,6 +431,15 @@ impl ClusterConfig {
             ));
         }
         self.job_sizes.validate("job_sizes")?;
+        // `lambda()`'s product, reusing the sum taken above.
+        let lambda = self.utilization * self.mu() * total_speed;
+        if !lambda.is_normal() {
+            return Err(HetschedError::InvalidConfig(format!(
+                "utilization {} gives an arrival rate λ = ρ·μ·Σs = {lambda} that is not a \
+                 positive normal number",
+                self.utilization
+            )));
+        }
         self.arrivals.validate()?;
         self.discipline.validate()?;
         self.load_updates.validate()?;
@@ -529,7 +544,7 @@ mod tests {
         bad.faults = Some(FaultSpec::exponential(0.0, 10.0));
         assert!(bad.validate().is_err());
         let mut bad = good.clone();
-        bad.obs = Some(hetsched_obs::ObsSpec::every(-5.0));
+        bad.obs = Some(crate::obs::ObsSpec::every(-5.0));
         assert!(bad.validate().is_err());
         let mut bad = good;
         bad.dispatch.dispatchers = 0;

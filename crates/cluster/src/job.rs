@@ -234,11 +234,6 @@ impl JobSlab {
         self.live == 0
     }
 
-    /// Number of slots ever allocated (high-water mark of concurrency).
-    pub fn capacity_used(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Total jobs ever inserted.
     pub fn total_inserted(&self) -> u64 {
         self.total_inserted
@@ -282,7 +277,7 @@ mod tests {
         // Same slot, new generation.
         assert_eq!(a.index(), b.index());
         assert_ne!(a, b);
-        assert_eq!(slab.capacity_used(), 1);
+        assert_eq!(slab.slots.len(), 1);
     }
 
     #[test]
@@ -312,7 +307,7 @@ mod tests {
             let id = slab.insert(rec(i as f64));
             slab.remove(id);
         }
-        assert_eq!(slab.capacity_used(), 1, "churn should reuse one slot");
+        assert_eq!(slab.slots.len(), 1, "churn should reuse one slot");
         assert_eq!(slab.total_inserted(), 10_000);
         assert!(slab.is_empty());
     }
@@ -383,6 +378,6 @@ mod tests {
             slab.insert(rec(1000.0 + i as f64));
         }
         assert_eq!(slab.len(), 100);
-        assert_eq!(slab.capacity_used(), 100);
+        assert_eq!(slab.slots.len(), 100);
     }
 }

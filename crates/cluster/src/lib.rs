@@ -49,7 +49,9 @@
 //!   optional periodic state-sync plane. One dispatcher with sync
 //!   disabled (the default) is bit-identical to the classic
 //!   single-scheduler simulation.
-//! * [`obs`] — the run-level observability driver: one row per fixed
+//! * [`obs`] — run-level observability: the sampling spec, the
+//!   time-series report with its JSONL/CSV exporters and kernel
+//!   counters, and the driver that fills it with one row per fixed
 //!   window of per-server queue length / utilization / availability,
 //!   cluster-wide rates and response quantiles, and the Fig. 2
 //!   deviation, named by one column table that the shard merge shares —
@@ -88,11 +90,10 @@ pub use hetsched_dispatch::{
     SplitterSpec, SyncSpec, SyncState,
 };
 pub use hetsched_dist::SpeedupCurve;
-pub use hetsched_obs::{KernelCounters, ObsReport, ObsSpec};
 pub use index::{ArgminTree, FleetState};
 pub use job::{JobId, JobRecord, JobSlab};
 pub use malleable::{AllocatorKind, ClassStats, MalleableClass, MalleableSpec, MalleableStats};
-pub use obs::ObsDriver;
+pub use obs::{KernelCounters, ObsDriver, ObsReport, ObsSpec};
 pub use pdes::{shard_config, shard_ranges, ParallelSimulation, PdesTiming, PDES_STREAM_BASE};
 pub use policy::{DispatchCtx, Policy};
 pub use results::{MetricSummary, RunStats, ServerStats, ServerSummarySet, ShardStats};

@@ -1,16 +1,36 @@
-//! The simulation-side observability driver.
+//! Run-level observability: the sampling spec, the report and the
+//! driver that fills it.
 //!
-//! [`ObsDriver`] keeps one model's per-window counters and appends one
-//! row per window to its own table. The simulation actor calls
-//! [`ObsDriver::flush_to`] at the top of every event delivery, *before*
-//! the event mutates the model: every window whose boundary has passed
-//! is closed by reading the servers at that boundary. Because all prior
-//! events carried timestamps strictly below the boundary, reading
-//! [`Server::busy_integral_at`] at the boundary never runs time
-//! backwards. The driver reads only `&[Server]` and its own counters;
-//! it never sees the scheduler, a policy or an RNG stream, so a run
-//! with observability enabled is bit-identical to one without — the
-//! non-perturbation invariant `tests/obs_determinism.rs` enforces.
+//! The paper's Fig. 2 is itself a time-series observable: workload
+//! allocation deviation sampled once per 120 s interval. This module
+//! generalizes that shape into per-window instrumentation of the
+//! simulator:
+//!
+//! * [`ObsSpec`] — the sampling contract (window length), threaded
+//!   through `ClusterConfig` and absent by default, so pre-observability
+//!   JSON keeps loading unchanged.
+//! * [`ObsReport`] — the columnar time series that lands in `RunStats`,
+//!   with JSONL and CSV exporters.
+//! * [`KernelCounters`] — a JSON-writable mirror of the event kernel's
+//!   [`FelStats`] traffic counters (`hetsched-desim` is dependency-free
+//!   by design, so the JSON view of its counters lives here).
+//! * [`ObsDriver`] — keeps one model's per-window counters and appends
+//!   one row per window to its own table.
+//!
+//! ## The non-perturbation invariant
+//!
+//! The simulation actor calls [`ObsDriver::flush_to`] at the top of
+//! every event delivery, *before* the event mutates the model: every
+//! window whose boundary has passed is closed by reading the servers at
+//! that boundary. Because all prior events carried timestamps strictly
+//! below the boundary, reading [`Server::busy_integral_at`] at the
+//! boundary never runs time backwards. The driver reads only `&[Server]`
+//! and its own counters; it never sees the scheduler, a policy or an RNG
+//! stream, so it cannot schedule events, draw random numbers or mutate
+//! model state, and a run with observability enabled is bit-identical to
+//! one without — the rule `tests/obs_determinism.rs` enforces.
+//!
+//! ## Columns
 //!
 //! One column table (`SERVER_COLUMNS`, `CORE_COLUMNS`,
 //! `CHANNEL_COLUMNS`, `SLOWDOWN_COLUMN`) names every column, in row
@@ -32,9 +52,14 @@
 
 use hetsched_desim::FelStats;
 use hetsched_metrics::{allocation_deviation, Histogram, Welford};
-use hetsched_obs::{ObsReport, ObsSpec};
 
 use crate::server::Server;
+
+mod report;
+mod spec;
+
+pub use report::{KernelCounters, ObsReport};
+pub use spec::ObsSpec;
 
 /// How the shard reports of a parallel run fold into one cluster-wide
 /// column.
@@ -493,7 +518,6 @@ mod tests {
     use crate::discipline::DisciplineSpec;
     use crate::job::{JobRecord, JobSlab};
     use hetsched_metrics::DeviationTracker;
-    use hetsched_obs::{KernelCounters, ObsSpec};
 
     fn servers(n: usize) -> Vec<Server> {
         (0..n)

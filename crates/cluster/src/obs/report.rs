@@ -6,9 +6,8 @@ use hetsched_json::{Json, Writer};
 
 /// JSON-writable mirror of the event kernel's lifetime traffic counters.
 ///
-/// `hetsched-desim` is dependency-free, so its
-/// [`FelStats`](hetsched_desim::FelStats) has no JSON form; this is
-/// the view that lands in run reports.
+/// `hetsched-desim` is dependency-free, so its [`FelStats`] has no JSON
+/// form; this is the view that lands in run reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Total events ever scheduled; every arm of a re-armable timer
@@ -23,10 +22,6 @@ pub struct KernelCounters {
     /// Largest number of events ever pending at once, counting each
     /// armed timer as one.
     pub high_water: u64,
-    /// Always 0. It counted the bucket-array resizes of a calendar-queue
-    /// event list that the kernel no longer has; the field stays because
-    /// it is part of archived `RunStats` JSON and of result digests.
-    pub resizes: u64,
 }
 
 hetsched_json::json_struct!(KernelCounters {
@@ -34,7 +29,6 @@ hetsched_json::json_struct!(KernelCounters {
     popped,
     cancelled,
     high_water,
-    resizes,
 });
 
 impl From<FelStats> for KernelCounters {
@@ -44,7 +38,6 @@ impl From<FelStats> for KernelCounters {
             popped: s.popped,
             cancelled: s.cancelled,
             high_water: s.high_water,
-            resizes: 0,
         }
     }
 }
@@ -222,7 +215,6 @@ mod tests {
                 popped: 8,
                 cancelled: 1,
                 high_water: 4,
-                resizes: 0,
             },
         }
     }
@@ -350,7 +342,6 @@ mod tests {
         assert_eq!(k.popped, 3);
         assert_eq!(k.cancelled, 1);
         assert_eq!(k.high_water, 2);
-        assert_eq!(k.resizes, 0);
     }
 
     #[test]

@@ -40,9 +40,13 @@ impl ObsSpec {
     }
 
     /// Checks the spec describes a usable sampling plan.
+    ///
+    /// # Errors
+    /// [`HetschedError::InvalidConfig`] naming `obs.sample_interval`
+    /// unless the window is positive and finite.
     pub fn validate(&self) -> Result<(), HetschedError> {
         if !self.sample_interval.is_finite() || self.sample_interval <= 0.0 {
-            return Err(HetschedError::BadParameter(format!(
+            return Err(HetschedError::InvalidConfig(format!(
                 "obs.sample_interval must be positive and finite, got {}",
                 self.sample_interval
             )));
@@ -64,7 +68,12 @@ mod tests {
     fn validate_rejects_degenerate_intervals() {
         assert!(ObsSpec::every(120.0).validate().is_ok());
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(ObsSpec::every(bad).validate().is_err(), "accepted {bad}");
+            match ObsSpec::every(bad).validate() {
+                Err(HetschedError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("obs.sample_interval"), "{msg}")
+                }
+                other => panic!("{bad}: expected an InvalidConfig, got {other:?}"),
+            }
         }
     }
 

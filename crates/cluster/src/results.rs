@@ -227,7 +227,7 @@ pub struct RunStats {
     /// Observability time series (present only when `ClusterConfig::obs`
     /// was set). Excluded from results archived before the observability
     /// layer existed, which deserialize to `None`.
-    pub obs: Option<hetsched_obs::ObsReport>,
+    pub obs: Option<crate::obs::ObsReport>,
     /// Per-dispatcher-shard detail. Empty for single-dispatcher runs —
     /// including every run archived before the dispatch tier existed,
     /// which deserialize to the empty default.

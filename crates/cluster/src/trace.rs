@@ -83,11 +83,6 @@ impl JobTrace {
     pub fn response_time(&self) -> f64 {
         self.completion - self.arrival
     }
-
-    /// Response ratio `response_time / size`.
-    pub fn response_ratio(&self) -> f64 {
-        self.response_time() / self.size
-    }
 }
 
 /// Collects sampled job traces during a run.
@@ -175,6 +170,14 @@ impl TraceCollector {
             out.push('\n');
         }
         out
+    }
+}
+
+#[cfg(test)]
+impl JobTrace {
+    /// Response ratio `response_time / size` (a test oracle).
+    pub(crate) fn response_ratio(&self) -> f64 {
+        self.response_time() / self.size
     }
 }
 

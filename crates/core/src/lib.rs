@@ -43,30 +43,28 @@
 //! | [`desim`] | deterministic discrete-event kernel + RNG streams |
 //! | [`dist`] | Bounded Pareto, hyperexponential, … with analytic moments |
 //! | [`metrics`] | Welford, time-weighted stats, mergeable quantile sketch, CIs |
-//! | [`obs`] | run-level observability: window spec, time-series report, exporters |
+//! | [`obs`] | run-level observability: window spec, time-series report, exporters, and the driver that fills it (`cluster::obs`) |
 //! | [`queueing`] | M/M/1-PS analysis, Algorithm 1, numeric cross-check |
 //! | [`dispatch`] | front-end dispatcher tier: arrival splitters + state-sync plane |
 //! | [`cluster`] | the simulated network of heterogeneous computers, incl. the fault-injection layer |
 //! | [`policies`] | WRAN/ORAN/WRR/ORR, Dynamic Least-Load, JSQ(d), SITA-E, ReORR |
 //! | [`error`] | the typed error shared across the workspace |
 //! | [`json`] | the JSON codec every spec and archive goes through |
-//! | [`parallel`] | scoped-thread replication runner |
 //! | [`experiment`] | replication + aggregation harness |
-//! | [`sweep`] | sweep-level work pool: all points' replications through one set of workers |
+//! | [`sweep`] | sweep-level work pool: all points' replications through one set of scoped worker threads |
 //! | [`scenarios`] | one preset per paper table/figure |
 //! | [`report`] | fixed-width tables and JSON archiving |
 
 #![warn(missing_docs)]
 
 pub use hetsched_cluster as cluster;
+pub use hetsched_cluster::obs;
 pub use hetsched_desim as desim;
 pub use hetsched_dispatch as dispatch;
 pub use hetsched_dist as dist;
 pub use hetsched_error as error;
 pub use hetsched_json as json;
 pub use hetsched_metrics as metrics;
-pub use hetsched_obs as obs;
-pub use hetsched_parallel as parallel;
 pub use hetsched_policies as policies;
 pub use hetsched_queueing as queueing;
 

@@ -99,11 +99,6 @@ pub fn fig6_policies(errors: &[f64]) -> Vec<PolicySpec> {
     v
 }
 
-/// The estimation errors shown in Figure 6 (a: under, b: over).
-pub fn fig6_errors() -> Vec<f64> {
-    vec![-0.15, -0.10, -0.05, 0.05, 0.10, 0.15]
-}
-
 /// The five algorithms compared throughout §5, in display order.
 pub fn headline_policies() -> Vec<PolicySpec> {
     vec![
@@ -248,7 +243,8 @@ mod tests {
 
     #[test]
     fn fig6_policy_count() {
-        let p = fig6_policies(&fig6_errors());
+        // The estimation errors of Figure 6 (a: under, b: over).
+        let p = fig6_policies(&[-0.15, -0.10, -0.05, 0.05, 0.10, 0.15]);
         assert_eq!(p.len(), 8); // ORR + WRR + 6 error variants
     }
 

@@ -16,7 +16,9 @@
 //! end. Results land in write-once per-task slots and are merged per
 //! point in replication order, so the output is **bit-identical** to
 //! running each point's [`Experiment::run`] sequentially — at any thread
-//! count.
+//! count. The pool itself (std scoped threads, write-once result slots,
+//! and the nested `threads × sim_threads` plan) is the private `pool`
+//! module.
 //!
 //! The pool also instruments itself: [`SweepStats`] records simulated
 //! events per wall-clock second and per-point busy time, giving the repo
@@ -28,9 +30,12 @@ use std::time::Instant;
 use hetsched_cluster::RunStats;
 use hetsched_error::HetschedError;
 use hetsched_metrics::CiSummary;
-use hetsched_parallel::{parallel_map_in_order, plan_nested};
 
 use crate::experiment::{Experiment, ExperimentResult};
+
+mod pool;
+
+use pool::{parallel_map_in_order, plan_nested};
 
 /// A collection of experiments executed through one global work pool.
 ///
@@ -151,7 +156,7 @@ impl Sweep {
             }
         }
         let sim_threads = self.points.iter().map(|p| p.sim_threads).max().unwrap_or(0);
-        plan_nested(self.threads, sim_threads, 0).map_err(HetschedError::InvalidConfig)
+        plan_nested(self.threads, sim_threads, 0)
     }
 
     /// Pull order for `tasks`: descending expected cost, so the longest

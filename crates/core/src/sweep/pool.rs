@@ -1,11 +1,7 @@
-//! # hetsched-parallel — scoped-thread work pool for replication sweeps
+//! The sweep's worker pool and its thread plan.
 //!
-//! Every data point in the paper is "the average result of 10 independent
-//! runs with different random number streams" (§4.1), and the figures
-//! sweep a parameter over many points — hundreds of embarrassingly
-//! parallel simulation runs. This crate provides one deliberately small
-//! parallel map, [`parallel_map_in_order`], built on
-//! `std::thread::scope`, and the thread planning around it:
+//! One deliberately small parallel map, [`parallel_map_in_order`], built
+//! on `std::thread::scope`:
 //!
 //! * work is pulled from a shared atomic counter (dynamic load balancing —
 //!   runs at high utilization take much longer than runs at low
@@ -15,19 +11,16 @@
 //! * slots are **write-once**: the atomic counter hands each index to
 //!   exactly one worker, so results are stored through a plain
 //!   `UnsafeCell` with no per-slot lock on the hot path;
-//! * workers follow a *pull order*, so a sweep harness can start its
+//! * workers follow a *pull order*, so the sweep can start its
 //!   expected-longest tasks (high-utilization points) first and keep
 //!   every core busy until the very end;
 //! * worker panics are propagated to the caller (a failed replication
 //!   must not silently produce a truncated average).
-//!
-//! The crate is dependency-free: scoped threads come from the standard
-//! library, so the sweep pool cannot drift with third-party versions.
-
-#![warn(missing_docs)]
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use hetsched_error::HetschedError;
 
 /// A write-once result slot.
 ///
@@ -54,7 +47,7 @@ unsafe impl<R: Send> Sync for Slot<R> {}
 /// in **input** order, so reordering affects only wall-clock
 /// scheduling, never the output.
 ///
-/// Sweep harnesses use this to start their expected-longest tasks first:
+/// The sweep uses this to start their expected-longest tasks first:
 /// a straggler that begins at `t = 0` hides behind the rest of the sweep
 /// instead of running alone at the end.
 ///
@@ -65,7 +58,12 @@ unsafe impl<R: Send> Sync for Slot<R> {}
 /// # Panics
 /// Panics if `order` is not a permutation of the item indices; propagates
 /// the first worker panic.
-pub fn parallel_map_in_order<T, R, F>(items: &[T], threads: usize, order: &[usize], f: F) -> Vec<R>
+pub(super) fn parallel_map_in_order<T, R, F>(
+    items: &[T],
+    threads: usize,
+    order: &[usize],
+    f: F,
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -136,7 +134,7 @@ where
 /// Number of worker threads to use by default: the available parallelism,
 /// capped at 16 (simulation runs are memory-light; beyond ~16 threads the
 /// marginal return on a laptop/CI box is noise).
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -145,7 +143,7 @@ pub fn default_threads() -> usize {
 
 /// Resolves a user-facing thread knob: `0` means "auto"
 /// ([`default_threads`]), anything else is taken literally.
-pub fn resolve_threads(requested: usize) -> usize {
+fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         default_threads()
     } else {
@@ -168,14 +166,17 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// whenever `inner > 1`.
 ///
 /// # Errors
-/// Returns a message when the combination is absurd: `inner` alone
-/// exceeding 4× the budget, or an explicit `outer` whose product with
-/// a nested `inner > 1` exceeds 4× the budget (with `inner = 1` the
-/// classic flat replication pool applies and `outer` is taken as
-/// given). Absurd combinations are almost always
-/// a units mistake in a config file, and silently clamping them would
-/// hide it.
-pub fn plan_nested(outer: usize, inner: usize, budget: usize) -> Result<usize, String> {
+/// [`HetschedError::InvalidConfig`] when the combination is absurd:
+/// `inner` alone exceeding 4× the budget, or an explicit `outer` whose
+/// product with a nested `inner > 1` exceeds 4× the budget (with
+/// `inner = 1` the classic flat replication pool applies and `outer` is
+/// taken as given). Absurd combinations are almost always a units
+/// mistake in a config file, and silently clamping them would hide it.
+pub(super) fn plan_nested(
+    outer: usize,
+    inner: usize,
+    budget: usize,
+) -> Result<usize, HetschedError> {
     let budget = if budget == 0 {
         default_threads()
     } else {
@@ -183,20 +184,20 @@ pub fn plan_nested(outer: usize, inner: usize, budget: usize) -> Result<usize, S
     };
     let inner_eff = inner.max(1);
     if inner_eff > 4 * budget {
-        return Err(format!(
+        return Err(HetschedError::InvalidConfig(format!(
             "sim_threads = {inner_eff} exceeds 4× the machine budget ({budget} threads); \
              cap it at the shard count or the core count"
-        ));
+        )));
     }
     // inner = 1 is the classic engine: plain replication threading has
     // always been allowed to exceed the core count (workers are
     // independent and time-slice cleanly), so only police the product
     // when the run actually nests.
     if inner_eff > 1 && outer > 0 && outer * inner_eff > 4 * budget {
-        return Err(format!(
+        return Err(HetschedError::InvalidConfig(format!(
             "threads × sim_threads = {outer} × {inner_eff} exceeds 4× the machine budget \
              ({budget} threads); lower one of the knobs (0 = auto)"
-        ));
+        )));
     }
     let outer_eff = if inner_eff > 1 {
         resolve_threads(outer).min((budget / inner_eff).max(1))
@@ -366,8 +367,10 @@ mod tests {
     fn nested_plan_rejects_absurd_combinations() {
         assert!(plan_nested(1, 64, 4).is_err());
         assert!(plan_nested(16, 4, 4).is_err());
-        let msg = plan_nested(16, 4, 4).unwrap_err();
-        assert!(msg.contains("16 × 4"), "got: {msg}");
+        match plan_nested(16, 4, 4) {
+            Err(HetschedError::InvalidConfig(msg)) => assert!(msg.contains("16 × 4"), "got: {msg}"),
+            other => panic!("expected an InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

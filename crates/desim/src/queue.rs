@@ -20,9 +20,9 @@
 //! ## Hot-path layout
 //!
 //! The heap array holds only 24-byte `Copy` keys: the timestamp packed as
-//! an order-preserving `u64` (see [`SimTime::key_bits`]), a FIFO sequence
-//! number, and a `(slot, generation)` reference into a
-//! [`PayloadSlab`](crate::slab). Sift operations therefore compare raw
+//! an order-preserving `u64` (see `SimTime::key_bits`), a FIFO sequence
+//! number, and a `(slot, generation)` reference into the crate's private
+//! `PayloadSlab`. Sift operations therefore compare raw
 //! integers and never move payloads, and a pop decides whether the
 //! surfacing key is still live with a single generation comparison — the
 //! no-cancel fast path does no hashing at all.
@@ -74,7 +74,7 @@ pub struct ScheduledEvent<E> {
 ///
 /// The struct has no JSON form: `hetsched-desim` has no dependencies,
 /// and the reproduction keeps it that way. Crates that need to write
-/// kernel counters mirror this type (see `hetsched-obs`).
+/// kernel counters mirror this type (see `hetsched_cluster::obs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FelStats {
     /// Total events ever scheduled; every arm of a timer counts as one.

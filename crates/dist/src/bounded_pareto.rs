@@ -71,17 +71,6 @@ impl BoundedPareto {
         1.0 - (self.k / self.p).powf(self.alpha)
     }
 
-    /// The CDF `F(x)`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= self.k {
-            0.0
-        } else if x >= self.p {
-            1.0
-        } else {
-            (1.0 - (self.k / x).powf(self.alpha)) / self.normalizer()
-        }
-    }
-
     /// The raw moment `E[X^r]` for any real order `r`.
     ///
     /// Closed form with the removable singularity at `r = α` handled via
@@ -131,6 +120,20 @@ impl Moments for BoundedPareto {
 
     fn second_moment(&self) -> f64 {
         self.raw_moment(2.0)
+    }
+}
+
+#[cfg(test)]
+impl BoundedPareto {
+    /// The CDF `F(x)` (a test oracle for the sampler and the median).
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
+        if x <= self.k {
+            0.0
+        } else if x >= self.p {
+            1.0
+        } else {
+            (1.0 - (self.k / x).powf(self.alpha)) / self.normalizer()
+        }
     }
 }
 

@@ -1,9 +1,8 @@
 //! Small special-function toolbox.
 //!
 //! Only what the distributions need: `ln Γ(x)` (Lanczos) for Weibull
-//! moments, and the error function `erf(x)` (Abramowitz–Stegun 7.1.26) for
-//! lognormal CDF checks in tests. Implemented here so the workspace stays
-//! free of numerics dependencies.
+//! moments. Implemented here so the workspace stays free of numerics
+//! dependencies.
 
 /// Natural log of the Gamma function, via the Lanczos approximation
 /// (g = 7, n = 9 coefficients; absolute error below 1e-13 for x > 0).
@@ -38,24 +37,6 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// The Gamma function `Γ(x)` for `x > 0`.
 pub fn gamma(x: f64) -> f64 {
     ln_gamma(x).exp()
-}
-
-/// Error function, Abramowitz & Stegun 7.1.26 (max abs error 1.5e-7).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let y = 1.0
-        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
-            + 0.254829592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
-/// Standard normal CDF `Φ(x)`.
-pub fn std_normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
 #[cfg(test)]
@@ -97,29 +78,5 @@ mod tests {
     #[should_panic(expected = "requires x > 0")]
     fn ln_gamma_rejects_nonpositive() {
         ln_gamma(0.0);
-    }
-
-    #[test]
-    fn erf_known_values() {
-        // A&S 7.1.26 carries ~1.5e-7 absolute error.
-        assert!(erf(0.0).abs() < 1e-6);
-        assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
-        assert!((erf(2.0) - 0.9953222650).abs() < 1e-6);
-    }
-
-    #[test]
-    fn normal_cdf_symmetry() {
-        for &x in &[0.1, 0.5, 1.3, 2.2] {
-            let s = std_normal_cdf(x) + std_normal_cdf(-x);
-            assert!((s - 1.0).abs() < 1e-10);
-        }
-        assert!((std_normal_cdf(0.0) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn normal_cdf_quantile_sanity() {
-        // Φ(1.96) ≈ 0.975
-        assert!((std_normal_cdf(1.96) - 0.975).abs() < 1e-3);
     }
 }

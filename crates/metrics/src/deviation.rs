@@ -77,23 +77,6 @@ impl DeviationTracker {
     pub fn deviations(&self) -> &[f64] {
         &self.deviations
     }
-
-    /// Mean deviation over completed intervals (`None` if none).
-    pub fn mean_deviation(&self) -> Option<f64> {
-        if self.deviations.is_empty() {
-            None
-        } else {
-            Some(self.deviations.iter().sum::<f64>() / self.deviations.len() as f64)
-        }
-    }
-
-    /// Maximum deviation over completed intervals (`None` if none).
-    pub fn max_deviation(&self) -> Option<f64> {
-        self.deviations
-            .iter()
-            .copied()
-            .fold(None, |acc, d| Some(acc.map_or(d, |m: f64| m.max(d))))
-    }
 }
 
 /// Footnote 4's deviation `Σ_i (α_i − α'_i)²` of one interval in which
@@ -186,15 +169,17 @@ mod tests {
             t.record(i as f64, 0);
         }
         t.advance_to(20.0);
-        assert!((t.mean_deviation().unwrap() - 0.25).abs() < 1e-12);
-        assert!((t.max_deviation().unwrap() - 0.5).abs() < 1e-12);
+        let d = t.deviations();
+        let mean = d.iter().sum::<f64>() / d.len() as f64;
+        let max = d.iter().copied().fold(f64::MIN, f64::max);
+        assert!((mean - 0.25).abs() < 1e-12);
+        assert!((max - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn no_completed_interval_is_none() {
         let t = DeviationTracker::new(&[1.0], 100.0, 0.0);
-        assert_eq!(t.mean_deviation(), None);
-        assert_eq!(t.max_deviation(), None);
+        assert!(t.deviations().is_empty());
     }
 
     #[test]

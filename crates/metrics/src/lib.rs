@@ -23,16 +23,13 @@
 //!   exactly (every p50/p95/p99 the simulator reports);
 //! * [`P2Quantile`] — the Jain–Chlamtac P² streaming quantile estimator,
 //!   which cannot merge (no simulator path uses it);
-//! * [`BatchMeans`] — batch-means confidence intervals for steady-state
-//!   simulation output;
 //! * [`DeviationTracker`] — Figure 2's per-interval allocation deviation
 //!   (one interval's sum is [`allocation_deviation`]);
-//! * [`Summary`] / [`CiSummary`] — aggregation across replications with
-//!   Student-t confidence intervals.
+//! * [`CiSummary`] — aggregation across replications with Student-t
+//!   confidence intervals.
 
 #![warn(missing_docs)]
 
-pub mod batch_means;
 pub mod deviation;
 pub mod histogram;
 pub mod quantile;
@@ -41,11 +38,10 @@ pub mod tdist;
 pub mod timeweighted;
 pub mod welford;
 
-pub use batch_means::BatchMeans;
 pub use deviation::{allocation_deviation, DeviationTracker};
 pub use histogram::Histogram;
 pub use quantile::P2Quantile;
-pub use summary::{CiSummary, Summary};
+pub use summary::CiSummary;
 pub use tdist::t_quantile_975;
 pub use timeweighted::TimeWeighted;
 pub use welford::Welford;

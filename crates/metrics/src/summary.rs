@@ -1,40 +1,11 @@
 //! Replication summaries.
 //!
 //! The paper's methodology (§4.1): each data point is the average of 10
-//! independent runs. [`Summary`] condenses one run's accumulator into a
-//! plain value set; [`CiSummary`] aggregates one scalar metric across
+//! independent runs. [`CiSummary`] aggregates one scalar metric across
 //! replications into `mean ± 95% CI` using Student-t critical values.
 
 use crate::tdist::t_quantile_975;
 use crate::welford::Welford;
-
-/// Point summary of a single run's observations of one metric.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: u64,
-    /// Sample mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Extracts a summary from a Welford accumulator.
-    pub fn from_welford(w: &Welford) -> Self {
-        Summary {
-            count: w.count(),
-            mean: w.mean(),
-            std_dev: w.std_dev(),
-            min: if w.count() == 0 { 0.0 } else { w.min() },
-            max: if w.count() == 0 { 0.0 } else { w.max() },
-        }
-    }
-}
 
 /// Mean ± 95% confidence interval across replications of one metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,12 +69,6 @@ impl CiSummary {
     pub fn contains(&self, x: f64) -> bool {
         x >= self.lo() && x <= self.hi()
     }
-
-    /// Whether two interval estimates overlap (a quick "no significant
-    /// difference" check).
-    pub fn overlaps(&self, other: &CiSummary) -> bool {
-        self.lo() <= other.hi() && other.lo() <= self.hi()
-    }
 }
 
 impl std::fmt::Display for CiSummary {
@@ -115,24 +80,6 @@ impl std::fmt::Display for CiSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_from_welford() {
-        let w: Welford = [1.0, 2.0, 3.0].into_iter().collect();
-        let s = Summary::from_welford(&w);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-    }
-
-    #[test]
-    fn summary_of_empty_is_zeroed() {
-        let s = Summary::from_welford(&Welford::new());
-        assert_eq!(s.count, 0);
-        assert_eq!(s.min, 0.0);
-        assert_eq!(s.max, 0.0);
-    }
 
     #[test]
     fn ci_single_value_has_zero_width() {
@@ -166,28 +113,6 @@ mod tests {
         assert_eq!(ci.hi(), 12.0);
         assert!(ci.contains(9.0));
         assert!(!ci.contains(12.5));
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let a = CiSummary {
-            n: 5,
-            mean: 10.0,
-            half_width: 2.0,
-        };
-        let b = CiSummary {
-            n: 5,
-            mean: 13.0,
-            half_width: 2.0,
-        };
-        let c = CiSummary {
-            n: 5,
-            mean: 20.0,
-            half_width: 1.0,
-        };
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl AdaptiveOrr {
         }
     }
 
-    /// A sensible default: recompute every 500 s with a 5% safety margin
-    /// and a 1% EWMA step.
-    pub fn with_defaults(speeds: &[f64], mean_size: f64) -> Self {
-        AdaptiveOrr::new(speeds, mean_size, 500.0, 0.05, 0.01)
-    }
-
     /// Current utilization estimate (with the safety margin applied), or
     /// `None` before the first gap is observed.
     pub fn estimated_utilization(&self) -> Option<f64> {
@@ -134,7 +128,9 @@ impl AdaptiveOrr {
             return;
         };
         let rho = rho.clamp(0.01, 0.999);
-        let fractions = AllocationSpec::Optimized { rho_error: 0.0 }.fractions(&self.speeds, rho);
+        let Ok(fractions) = AllocationSpec::optimized().fractions(&self.speeds, rho) else {
+            return;
+        };
         // Rebuilding resets Algorithm 2's credit state; the start-up rule
         // re-spreads first jobs, so the transient is a few jobs long. The
         // membership mask must survive the rebuild.
@@ -188,6 +184,12 @@ mod tests {
     use crate::allocation::AllocationSpec;
     use hetsched_desim::Rng64;
 
+    /// AORR recomputing every 500 s with a 5% safety margin and a 1%
+    /// EWMA step.
+    fn aorr(speeds: &[f64], mean_size: f64) -> AdaptiveOrr {
+        AdaptiveOrr::new(speeds, mean_size, 500.0, 0.05, 0.01)
+    }
+
     fn drive(policy: &mut AdaptiveOrr, gaps: impl Iterator<Item = f64>) {
         let speeds = policy.speeds.clone();
         let qlens = vec![0usize; speeds.len()];
@@ -208,7 +210,7 @@ mod tests {
 
     #[test]
     fn starts_with_weighted_fractions() {
-        let p = AdaptiveOrr::with_defaults(&[1.0, 3.0], 10.0);
+        let p = aorr(&[1.0, 3.0], 10.0);
         assert_eq!(p.current_fractions(), &[0.25, 0.75]);
         assert_eq!(p.estimated_utilization(), None);
     }
@@ -217,7 +219,7 @@ mod tests {
     fn estimates_stationary_utilization() {
         // Speeds sum 4, mean size 10 ⇒ μΣs = 0.4. Gaps of 5 s ⇒ λ = 0.2
         // ⇒ ρ = 0.5, times the 5% margin = 0.525.
-        let mut p = AdaptiveOrr::with_defaults(&[1.0, 3.0], 10.0);
+        let mut p = aorr(&[1.0, 3.0], 10.0);
         drive(&mut p, std::iter::repeat_n(5.0, 2_000));
         let est = p.estimated_utilization().expect("estimated");
         assert!((est - 0.525).abs() < 0.01, "estimate {est}");
@@ -226,9 +228,11 @@ mod tests {
     #[test]
     fn converges_to_optimized_fractions() {
         let speeds = [1.0, 3.0];
-        let mut p = AdaptiveOrr::with_defaults(&speeds, 10.0);
+        let mut p = aorr(&speeds, 10.0);
         drive(&mut p, std::iter::repeat_n(5.0, 5_000));
-        let expected = AllocationSpec::optimized().fractions(&speeds, 0.525);
+        let expected = AllocationSpec::optimized()
+            .fractions(&speeds, 0.525)
+            .unwrap();
         for (a, b) in p.current_fractions().iter().zip(&expected) {
             assert!(
                 (a - b).abs() < 0.01,

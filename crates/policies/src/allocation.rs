@@ -7,7 +7,8 @@
 //! { rho_error: 0.10 }` computes the allocation for `1.1·ρ` — the paper's
 //! "ORR(+10%)".
 
-use hetsched_queueing::closed_form::optimized_allocation_for;
+use hetsched_error::HetschedError;
+use hetsched_queueing::closed_form::try_optimized_allocation_for;
 
 /// Declarative allocation scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,20 +46,26 @@ impl AllocationSpec {
     /// paper's footnote 7 ("ORR converges with WRR as utilization
     /// approaches 100%").
     ///
-    /// # Panics
-    /// Panics if `speeds` is empty, any speed is non-positive, or
-    /// `rho ∉ (0, 1)`.
-    pub fn fractions(&self, speeds: &[f64], rho: f64) -> Vec<f64> {
-        assert!(!speeds.is_empty(), "no computers");
-        assert!(
-            speeds.iter().all(|&s| s.is_finite() && s > 0.0),
-            "speeds must be positive"
-        );
-        assert!(
-            rho.is_finite() && rho > 0.0 && rho < 1.0,
-            "utilization must lie in (0,1), got {rho}"
-        );
-        match *self {
+    /// # Errors
+    /// [`HetschedError::NoComputers`] if `speeds` is empty,
+    /// [`HetschedError::BadParameter`] if a speed is not positive and
+    /// finite or `rho ∉ (0, 1)`, and for the optimized scheme whatever
+    /// [`try_optimized_allocation_for`] refuses.
+    pub fn fractions(&self, speeds: &[f64], rho: f64) -> Result<Vec<f64>, HetschedError> {
+        if speeds.is_empty() {
+            return Err(HetschedError::NoComputers);
+        }
+        if !speeds.iter().all(|&s| s.is_finite() && s > 0.0) {
+            return Err(HetschedError::BadParameter(
+                "speeds must be positive".into(),
+            ));
+        }
+        if !(rho.is_finite() && rho > 0.0 && rho < 1.0) {
+            return Err(HetschedError::BadParameter(format!(
+                "utilization must lie in (0,1), got {rho}"
+            )));
+        }
+        Ok(match *self {
             AllocationSpec::Equal => vec![1.0 / speeds.len() as f64; speeds.len()],
             AllocationSpec::Weighted => weighted(speeds),
             AllocationSpec::Optimized { rho_error } => {
@@ -68,12 +75,12 @@ impl AllocationSpec {
                 } else if est <= 0.0 {
                     // A nonsensical estimate of an idle system: all load
                     // to the fastest machines — realize the ρ→0 limit.
-                    optimized_allocation_for(speeds, 1e-6)
+                    try_optimized_allocation_for(speeds, 1e-6)?
                 } else {
-                    optimized_allocation_for(speeds, est)
+                    try_optimized_allocation_for(speeds, est)?
                 }
             }
-        }
+        })
     }
 
     /// Short name used in policy labels.
@@ -117,29 +124,29 @@ mod tests {
 
     #[test]
     fn equal_split() {
-        let f = AllocationSpec::Equal.fractions(&SPEEDS, 0.7);
+        let f = AllocationSpec::Equal.fractions(&SPEEDS, 0.7).unwrap();
         is_prob_vector(&f);
         assert!(f.iter().all(|&a| (a - 0.25).abs() < 1e-12));
     }
 
     #[test]
     fn weighted_split() {
-        let f = AllocationSpec::Weighted.fractions(&SPEEDS, 0.7);
+        let f = AllocationSpec::Weighted.fractions(&SPEEDS, 0.7).unwrap();
         is_prob_vector(&f);
         assert!((f[3] - 10.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]
     fn weighted_ignores_rho() {
-        let a = AllocationSpec::Weighted.fractions(&SPEEDS, 0.3);
-        let b = AllocationSpec::Weighted.fractions(&SPEEDS, 0.9);
+        let a = AllocationSpec::Weighted.fractions(&SPEEDS, 0.3).unwrap();
+        let b = AllocationSpec::Weighted.fractions(&SPEEDS, 0.9).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn optimized_skews_to_fast_machines() {
-        let opt = AllocationSpec::optimized().fractions(&SPEEDS, 0.5);
-        let w = AllocationSpec::Weighted.fractions(&SPEEDS, 0.5);
+        let opt = AllocationSpec::optimized().fractions(&SPEEDS, 0.5).unwrap();
+        let w = AllocationSpec::Weighted.fractions(&SPEEDS, 0.5).unwrap();
         is_prob_vector(&opt);
         assert!(opt[3] > w[3]);
         assert!(opt[0] < w[0]);
@@ -148,9 +155,11 @@ mod tests {
     #[test]
     fn overestimate_is_more_conservative() {
         // §5.4: overestimation pushes the allocation toward weighted.
-        let exact = AllocationSpec::optimized().fractions(&SPEEDS, 0.6);
-        let over = AllocationSpec::Optimized { rho_error: 0.15 }.fractions(&SPEEDS, 0.6);
-        let w = AllocationSpec::Weighted.fractions(&SPEEDS, 0.6);
+        let exact = AllocationSpec::optimized().fractions(&SPEEDS, 0.6).unwrap();
+        let over = AllocationSpec::Optimized { rho_error: 0.15 }
+            .fractions(&SPEEDS, 0.6)
+            .unwrap();
+        let w = AllocationSpec::Weighted.fractions(&SPEEDS, 0.6).unwrap();
         // Fast machine share: exact ≥ over ≥ weighted.
         assert!(exact[3] >= over[3] - 1e-12);
         assert!(over[3] >= w[3] - 1e-12);
@@ -158,16 +167,20 @@ mod tests {
 
     #[test]
     fn underestimate_is_more_aggressive() {
-        let exact = AllocationSpec::optimized().fractions(&SPEEDS, 0.6);
-        let under = AllocationSpec::Optimized { rho_error: -0.15 }.fractions(&SPEEDS, 0.6);
+        let exact = AllocationSpec::optimized().fractions(&SPEEDS, 0.6).unwrap();
+        let under = AllocationSpec::Optimized { rho_error: -0.15 }
+            .fractions(&SPEEDS, 0.6)
+            .unwrap();
         assert!(under[3] >= exact[3] - 1e-12);
     }
 
     #[test]
     fn estimate_at_or_above_one_degenerates_to_weighted() {
         // ρ = 0.9, +15% ⇒ estimate 1.035 ≥ 1 ⇒ weighted (footnote 7).
-        let f = AllocationSpec::Optimized { rho_error: 0.15 }.fractions(&SPEEDS, 0.9);
-        let w = AllocationSpec::Weighted.fractions(&SPEEDS, 0.9);
+        let f = AllocationSpec::Optimized { rho_error: 0.15 }
+            .fractions(&SPEEDS, 0.9)
+            .unwrap();
+        let w = AllocationSpec::Weighted.fractions(&SPEEDS, 0.9).unwrap();
         for (a, b) in f.iter().zip(&w) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -189,14 +202,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "utilization must lie in (0,1)")]
     fn rejects_bad_rho() {
-        AllocationSpec::Weighted.fractions(&SPEEDS, 0.0);
+        match AllocationSpec::Weighted.fractions(&SPEEDS, 0.0) {
+            Err(HetschedError::BadParameter(msg)) => {
+                assert!(msg.contains("utilization must lie in (0,1)"), "{msg}")
+            }
+            other => panic!("expected a BadParameter, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "no computers")]
     fn rejects_empty_speeds() {
-        AllocationSpec::Weighted.fractions(&[], 0.5);
+        assert_eq!(
+            AllocationSpec::Weighted.fractions(&[], 0.5),
+            Err(HetschedError::NoComputers)
+        );
     }
 }

@@ -319,7 +319,7 @@ impl PolicySpec {
                         cfg.utilization
                     )));
                 }
-                let fractions = allocation.fractions(&cfg.speeds, cfg.utilization);
+                let fractions = allocation.fractions(&cfg.speeds, cfg.utilization)?;
                 let label = self.label();
                 Ok(match dispatcher {
                     DispatcherSpec::Random => Box::new(RandomDispatch::new(&fractions, label)),
@@ -368,7 +368,7 @@ impl PolicySpec {
                     ));
                 }
                 let fractions = crate::allocation::AllocationSpec::optimized()
-                    .fractions(&cfg.speeds, cfg.utilization);
+                    .fractions(&cfg.speeds, cfg.utilization)?;
                 Ok(Box::new(crate::bursty_wrr::BurstyWeightedRr::new(
                     &fractions, *cycle_len, "BWRR",
                 )))
@@ -471,7 +471,7 @@ fn stale_prior(cfg: &ClusterConfig, confidence_window: f64) -> Result<Vec<f64>, 
         ));
     }
     let fractions =
-        crate::allocation::AllocationSpec::optimized().fractions(&cfg.speeds, cfg.utilization);
+        crate::allocation::AllocationSpec::optimized().fractions(&cfg.speeds, cfg.utilization)?;
     let total_speed: f64 = cfg.speeds.iter().sum();
     Ok(fractions
         .iter()

@@ -233,7 +233,7 @@ mod tests {
     fn matches_orr_when_all_up() {
         let speeds = [1.0, 2.0, 10.0];
         let p = ReoptimizingOrr::new(&speeds, 0.7);
-        let orr = AllocationSpec::optimized().fractions(&speeds, 0.7);
+        let orr = AllocationSpec::optimized().fractions(&speeds, 0.7).unwrap();
         for (a, b) in p.current_fractions().iter().zip(&orr) {
             assert!((a - b).abs() < 1e-12, "{:?}", p.current_fractions());
         }
@@ -263,7 +263,9 @@ mod tests {
         let mut p = ReoptimizingOrr::new(&speeds, 0.3);
         p.on_membership_change(&[false, true, true], 0.0);
         // ρ_live = 0.3 · 13 / 12 = 0.325 < 1: Algorithm 1 over [2, 10].
-        let expected = AllocationSpec::optimized().fractions(&[2.0, 10.0], 0.3 * 13.0 / 12.0);
+        let expected = AllocationSpec::optimized()
+            .fractions(&[2.0, 10.0], 0.3 * 13.0 / 12.0)
+            .unwrap();
         let f = p.current_fractions();
         assert_eq!(f[0], 0.0);
         assert!((f[1] - expected[0]).abs() < 1e-12, "{f:?} vs {expected:?}");
@@ -317,13 +319,15 @@ mod tests {
         let mut p = ReoptimizingOrr::new(&speeds, 0.3).with_rate_reopt(1.0);
         let consensus = coordinated_consensus(p.sync_state().unwrap().credits, 9.1);
         p.merge_sync(&consensus, 100.0);
-        let expected = AllocationSpec::optimized().fractions(&speeds, 0.7);
+        let expected = AllocationSpec::optimized().fractions(&speeds, 0.7).unwrap();
         for (a, b) in p.current_fractions().iter().zip(&expected) {
             assert!((a - b).abs() < 1e-12, "{:?}", p.current_fractions());
         }
         // The measured ρ sticks for later membership changes too.
         p.on_membership_change(&[false, true, true], 200.0);
-        let live = AllocationSpec::optimized().fractions(&[2.0, 10.0], 0.7 * 13.0 / 12.0);
+        let live = AllocationSpec::optimized()
+            .fractions(&[2.0, 10.0], 0.7 * 13.0 / 12.0)
+            .unwrap();
         let f = p.current_fractions();
         assert_eq!(f[0], 0.0);
         assert!((f[1] - live[0]).abs() < 1e-12, "{f:?} vs {live:?}");

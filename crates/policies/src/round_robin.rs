@@ -1124,10 +1124,10 @@ mod tests {
             .map(|_| SPEEDS[rng.below(SPEEDS.len() as u64) as usize])
             .collect();
         match kind {
-            Fleet::Weighted => AllocationSpec::Weighted.fractions(&speeds, 0.5),
+            Fleet::Weighted => AllocationSpec::Weighted.fractions(&speeds, 0.5).unwrap(),
             Fleet::Optimized => {
                 let rho = rng.uniform(0.05, 0.95);
-                AllocationSpec::optimized().fractions(&speeds, rho)
+                AllocationSpec::optimized().fractions(&speeds, rho).unwrap()
             }
             Fleet::Random => {
                 let raw: Vec<f64> = (0..n).map(|_| rng.uniform(0.01, 1.0)).collect();
@@ -1214,7 +1214,7 @@ mod tests {
         let speeds = [
             1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 1.5, 2.0, 2.0, 2.0, 5.0, 10.0, 12.0,
         ];
-        let fractions = AllocationSpec::Weighted.fractions(&speeds, 0.5);
+        let fractions = AllocationSpec::Weighted.fractions(&speeds, 0.5).unwrap();
         let p = RoundRobinDispatch::new(&fractions, "WRR");
         assert_eq!(p.unit, 15 * DYADIC_UNIT, "lcm of 1, 3 and 5");
         let want = [(44, 1), (88, 3), (22, 1), (44, 5), (22, 5), (11, 3)];
@@ -1248,7 +1248,7 @@ mod tests {
             (&table3[..], 0.9),
             (&orr_10k[..], 0.7),
         ] {
-            let fractions = AllocationSpec::optimized().fractions(speeds, rho);
+            let fractions = AllocationSpec::optimized().fractions(speeds, rho).unwrap();
             let p = RoundRobinDispatch::new(&fractions, "ORR");
             assert_eq!(
                 p.unit,
@@ -1311,7 +1311,7 @@ mod tests {
         // f64 of the exact value, and every f64 of magnitude ≥ 1 maps to
         // an exact multiple of the unit.
         let speeds = [1.0, 1.5, 2.0, 5.0, 10.0, 12.0];
-        let fractions = AllocationSpec::Weighted.fractions(&speeds, 0.5);
+        let fractions = AllocationSpec::Weighted.fractions(&speeds, 0.5).unwrap();
         let mut p = RoundRobinDispatch::new(&fractions, "WRR");
         let mut oracle = FloatScan::new(&fractions);
         for _ in 0..1000 {

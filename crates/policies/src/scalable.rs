@@ -299,15 +299,6 @@ impl Jiq {
         &self.believed
     }
 
-    /// Number of servers currently believed idle (diagnostics; counts
-    /// stack entries that would survive the lazy pop filter).
-    pub fn idle_count(&self) -> usize {
-        self.idle
-            .iter()
-            .filter(|&&i| self.up[i] && self.believed[i] == 0.0)
-            .count()
-    }
-
     fn push_idle(&mut self, i: usize) {
         if !self.on_stack[i] && self.up[i] && self.believed[i] == 0.0 {
             self.on_stack[i] = true;
@@ -552,24 +543,33 @@ mod tests {
         assert_eq!(shared.next_u64(), witness.next_u64());
     }
 
+    /// Servers `p` believes idle: the stack entries that would survive
+    /// the lazy pop filter.
+    fn idle_count(p: &Jiq) -> usize {
+        p.idle
+            .iter()
+            .filter(|&&i| p.up[i] && p.believed[i] == 0.0)
+            .count()
+    }
+
     #[test]
     fn jiq_pops_idle_stack_then_falls_back() {
         let speeds = [1.0, 1.0, 4.0];
         let qlens = [0usize; 3];
         let mut p = Jiq::new(&speeds);
         let mut rng = Rng64::from_seed(1);
-        assert_eq!(p.idle_count(), 3);
+        assert_eq!(idle_count(&p), 3);
         // Initial stack drains LIFO: 2, 1, 0.
         assert_eq!(p.choose(&ctx_at(0.0, &speeds, &qlens), &mut rng), 2);
         assert_eq!(p.choose(&ctx_at(0.0, &speeds, &qlens), &mut rng), 1);
         assert_eq!(p.choose(&ctx_at(0.0, &speeds, &qlens), &mut rng), 0);
-        assert_eq!(p.idle_count(), 0);
+        assert_eq!(idle_count(&p), 0);
         // Stack empty: the power-of-2 fallback still dispatches.
         let c = p.choose(&ctx_at(1.0, &speeds, &qlens), &mut rng);
         assert!(c < 3);
         // An idle report re-arms the stack and wins over the fallback.
         p.on_load_update(1, 0, 2.0);
-        assert_eq!(p.idle_count(), 1);
+        assert_eq!(idle_count(&p), 1);
         assert_eq!(p.choose(&ctx_at(2.0, &speeds, &qlens), &mut rng), 1);
     }
 

@@ -60,18 +60,6 @@ fn cutoff_binary_search(sorted: &[f64], mu: f64, lambda: f64) -> usize {
     lower
 }
 
-/// Reference linear-scan cutoff (used to property-test the binary search
-/// and the contiguity claim of footnote 3).
-pub fn cutoff_linear_scan(sorted: &[f64], mu: f64, lambda: f64) -> usize {
-    let mut m = 0;
-    for i in 0..sorted.len() {
-        if should_cut(sorted, mu, lambda, i) {
-            m = i + 1;
-        }
-    }
-    m
-}
-
 /// Computes the optimized workload allocation for `sys` (Algorithm 1).
 ///
 /// Returns the fractions in the *original* speed order (the paper sorts
@@ -201,6 +189,18 @@ mod tests {
     use crate::objective::{cutoff_min_value, objective_f, theorem1_min_value};
     use crate::system::validate_allocation;
     use hetsched_desim::check::cases;
+
+    /// Reference linear-scan cutoff (used to property-test the binary
+    /// search and the contiguity claim of footnote 3).
+    fn cutoff_linear_scan(sorted: &[f64], mu: f64, lambda: f64) -> usize {
+        let mut m = 0;
+        for i in 0..sorted.len() {
+            if should_cut(sorted, mu, lambda, i) {
+                m = i + 1;
+            }
+        }
+        m
+    }
 
     #[test]
     fn homogeneous_system_gets_equal_shares() {

@@ -8,9 +8,8 @@
 //!
 //! The derivation chain, mirrored 1:1 in modules:
 //!
-//! * [`mm1`] — response-time formulas for a single M/M/1-PS queue
-//!   (eqs. 1–2).
-//! * [`objective`] — the system-level mean response time (eq. 3) and the
+//! * [`objective`] — the system-level mean response time (eq. 3, built
+//!   from each computer's M/M/1-PS mean response time, eq. 1) and the
 //!   objective function `F(α…) = Σ s_iμ / (s_iμ − α_iλ)` (Definition 1).
 //! * [`closed_form`] — Theorem 1's interior optimum, Theorem 2's cutoff
 //!   for very slow machines, and **Algorithm 1** (binary-search cutoff +
@@ -39,14 +38,10 @@
 #![warn(missing_docs)]
 
 pub mod closed_form;
-pub mod mg1;
-pub mod mm1;
 pub mod numeric;
 pub mod objective;
 pub mod predict;
 pub mod system;
 
-pub use mg1::Mg1;
-pub use mm1::Mm1Ps;
 pub use predict::AllocationReport;
-pub use system::{HetSystem, SystemError};
+pub use system::HetSystem;

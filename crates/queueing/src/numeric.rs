@@ -16,7 +16,6 @@
 //! tests require the two solvers to agree to ~1e-10.
 
 use crate::system::HetSystem;
-use hetsched_error::HetschedError;
 
 /// Water-filling allocation at multiplier `c`.
 fn alphas_at(sys: &HetSystem, c: f64) -> Vec<f64> {
@@ -90,32 +89,6 @@ pub fn optimized_allocation_numeric(sys: &HetSystem, tol: f64) -> Vec<f64> {
     alphas
 }
 
-/// Panic-free variant of [`optimized_allocation_numeric`].
-///
-/// # Errors
-/// * [`HetschedError::BadParameter`] — `tol` outside `(0, 0.1)`;
-/// * [`HetschedError::Solver`] — the bisection produced a non-finite or
-///   badly normalized allocation (defensive; not expected for a valid
-///   [`HetSystem`]).
-pub fn try_optimized_allocation_numeric(
-    sys: &HetSystem,
-    tol: f64,
-) -> Result<Vec<f64>, HetschedError> {
-    if !(tol > 0.0 && tol < 0.1) {
-        return Err(HetschedError::BadParameter(format!(
-            "tolerance must be in (0, 0.1), got {tol}"
-        )));
-    }
-    let alphas = optimized_allocation_numeric(sys, tol);
-    let sum: f64 = alphas.iter().sum();
-    if alphas.iter().any(|a| !a.is_finite()) || (sum - 1.0).abs() > 1e-6 {
-        return Err(HetschedError::Solver(format!(
-            "bisection produced an invalid allocation (Σα = {sum})"
-        )));
-    }
-    Ok(alphas)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,21 +153,6 @@ mod tests {
                 assert!(gi >= first - 1e-6, "zero machine with low marginal");
             }
         }
-    }
-
-    #[test]
-    fn try_variant_rejects_bad_tolerance() {
-        let sys = HetSystem::from_utilization(&[1.0, 2.0], 0.5).unwrap();
-        assert!(matches!(
-            try_optimized_allocation_numeric(&sys, 0.0),
-            Err(HetschedError::BadParameter(_))
-        ));
-        assert!(matches!(
-            try_optimized_allocation_numeric(&sys, 0.5),
-            Err(HetschedError::BadParameter(_))
-        ));
-        let a = try_optimized_allocation_numeric(&sys, TOL).unwrap();
-        assert_eq!(a, optimized_allocation_numeric(&sys, TOL));
     }
 
     /// Closed form and numeric solver agree on `speeds` at load `rho`.

@@ -1,7 +1,11 @@
 //! The optimization objective (Definition 1) and system-level metrics
 //! (eq. 3).
 //!
-//! For an allocation `{α_i}` the system's mean response time is
+//! Computer `i` is an M/M/1-PS queue with arrival rate `α_iλ` and
+//! service rate `s_iμ`, so its mean response time is
+//! `1 / (s_iμ − α_iλ)` (eq. 1) and, by PS insensitivity, depends on the
+//! job-size distribution only through its mean. For an allocation
+//! `{α_i}` the system's mean response time is
 //!
 //! ```text
 //! T̄ = Σ_i α_i / (s_iμ − α_iλ)                               (eq. 3)
@@ -38,13 +42,6 @@ pub fn objective_f(sys: &HetSystem, alphas: &[f64]) -> Option<f64> {
         f += cap / denom;
     }
     Some(f)
-}
-
-/// The analytic lower bound of `F` from Theorem 1 (no non-negativity
-/// cutoff): `(Σ √(s_jμ))² / (Σ s_jμ − λ)`.
-pub fn theorem1_min_value(sys: &HetSystem) -> f64 {
-    let sqrt_sum: f64 = sys.speeds().iter().map(|&s| (s * sys.mu()).sqrt()).sum();
-    sqrt_sum * sqrt_sum / (sys.capacity() - sys.lambda())
 }
 
 /// The minimum of `F` when machines `1..=m` (ascending speed order, 0 ≤ m)
@@ -89,25 +86,6 @@ pub fn try_cutoff_min_value(
     Ok(cutoff_min_value(sorted_speeds, mu, lambda, m))
 }
 
-/// The gradient of `F` with respect to `α_i`:
-/// `∂F/∂α_i = s_iμλ / (s_iμ − α_iλ)²`. Used by the numeric solver's KKT
-/// check in tests.
-pub fn objective_gradient(sys: &HetSystem, alphas: &[f64]) -> Option<Vec<f64>> {
-    if alphas.len() != sys.len() {
-        return None;
-    }
-    let mut g = Vec::with_capacity(alphas.len());
-    for (&a, &s) in alphas.iter().zip(sys.speeds()) {
-        let cap = s * sys.mu();
-        let denom = cap - a * sys.lambda();
-        if denom <= 0.0 {
-            return None;
-        }
-        g.push(cap * sys.lambda() / (denom * denom));
-    }
-    Some(g)
-}
-
 /// System mean response time for an allocation (eq. 3):
 /// `T̄ = Σ α_i / (s_iμ − α_iλ)`. `None` on saturation/mismatch.
 pub fn mean_response_time(sys: &HetSystem, alphas: &[f64]) -> Option<f64> {
@@ -131,6 +109,34 @@ pub fn mean_response_time(sys: &HetSystem, alphas: &[f64]) -> Option<f64> {
 /// System mean response ratio: `R̄ = μ T̄`.
 pub fn mean_response_ratio(sys: &HetSystem, alphas: &[f64]) -> Option<f64> {
     mean_response_time(sys, alphas).map(|t| t * sys.mu())
+}
+
+/// The analytic lower bound of `F` from Theorem 1 (no non-negativity
+/// cutoff): `(Σ √(s_jμ))² / (Σ s_jμ − λ)` (a test oracle).
+#[cfg(test)]
+pub(crate) fn theorem1_min_value(sys: &HetSystem) -> f64 {
+    let sqrt_sum: f64 = sys.speeds().iter().map(|&s| (s * sys.mu()).sqrt()).sum();
+    sqrt_sum * sqrt_sum / (sys.capacity() - sys.lambda())
+}
+
+/// The gradient of `F` with respect to `α_i`:
+/// `∂F/∂α_i = s_iμλ / (s_iμ − α_iλ)²`, for the numeric solver's KKT
+/// check (a test oracle).
+#[cfg(test)]
+pub(crate) fn objective_gradient(sys: &HetSystem, alphas: &[f64]) -> Option<Vec<f64>> {
+    if alphas.len() != sys.len() {
+        return None;
+    }
+    let mut g = Vec::with_capacity(alphas.len());
+    for (&a, &s) in alphas.iter().zip(sys.speeds()) {
+        let cap = s * sys.mu();
+        let denom = cap - a * sys.lambda();
+        if denom <= 0.0 {
+            return None;
+        }
+        g.push(cap * sys.lambda() / (denom * denom));
+    }
+    Some(g)
 }
 
 #[cfg(test)]

@@ -6,47 +6,7 @@
 //! Poisson/renewal arrival rate `λ`. The system must not be saturated:
 //! `λ < μ Σ s_i`.
 
-/// Validation errors for system parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SystemError {
-    /// The speed list was empty.
-    NoComputers,
-    /// A speed, `μ`, or `λ` was non-positive or non-finite.
-    BadParameter,
-    /// `λ ≥ μ Σ s_i`: the whole system is overloaded and no allocation
-    /// can stabilize it.
-    Saturated,
-}
-
-impl std::fmt::Display for SystemError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SystemError::NoComputers => write!(f, "system has no computers"),
-            SystemError::BadParameter => {
-                write!(f, "speeds, μ and λ must be positive and finite")
-            }
-            SystemError::Saturated => {
-                write!(
-                    f,
-                    "arrival rate saturates the aggregate capacity (λ ≥ μ·Σs)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for SystemError {}
-
-impl From<SystemError> for hetsched_error::HetschedError {
-    fn from(e: SystemError) -> Self {
-        use hetsched_error::HetschedError;
-        match e {
-            SystemError::NoComputers => HetschedError::NoComputers,
-            SystemError::BadParameter => HetschedError::BadParameter(e.to_string()),
-            SystemError::Saturated => HetschedError::Saturated,
-        }
-    }
-}
+use hetsched_error::HetschedError;
 
 /// A network of heterogeneous computers fed by a central scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,9 +19,15 @@ pub struct HetSystem {
 impl HetSystem {
     /// Creates a system from explicit speeds, baseline rate and arrival
     /// rate.
-    pub fn new(speeds: &[f64], mu: f64, lambda: f64) -> Result<Self, SystemError> {
+    ///
+    /// # Errors
+    /// [`HetschedError::NoComputers`] for an empty speed list,
+    /// [`HetschedError::BadParameter`] for a speed, `μ` or `λ` that is
+    /// not positive and finite, and [`HetschedError::Saturated`] for
+    /// `λ ≥ μ Σ s_i`: no allocation can stabilize an overloaded system.
+    pub fn new(speeds: &[f64], mu: f64, lambda: f64) -> Result<Self, HetschedError> {
         if speeds.is_empty() {
-            return Err(SystemError::NoComputers);
+            return Err(HetschedError::NoComputers);
         }
         let all_ok = speeds.iter().all(|&s| s.is_finite() && s > 0.0)
             && mu.is_finite()
@@ -69,11 +35,11 @@ impl HetSystem {
             && lambda.is_finite()
             && lambda > 0.0;
         if !all_ok {
-            return Err(SystemError::BadParameter);
+            return Err(bad_parameter());
         }
         let capacity: f64 = speeds.iter().sum::<f64>() * mu;
         if lambda >= capacity {
-            return Err(SystemError::Saturated);
+            return Err(HetschedError::Saturated);
         }
         Ok(HetSystem {
             speeds: speeds.to_vec(),
@@ -88,12 +54,16 @@ impl HetSystem {
     /// The paper observes (§2.3) that the optimized allocation depends on
     /// the parameters only through `ρ` and the speeds, so this is the
     /// natural constructor for experiments.
-    pub fn from_utilization(speeds: &[f64], rho: f64) -> Result<Self, SystemError> {
+    ///
+    /// # Errors
+    /// As [`HetSystem::new`]; a `ρ` outside `(0, 1)` is a
+    /// [`HetschedError::BadParameter`].
+    pub fn from_utilization(speeds: &[f64], rho: f64) -> Result<Self, HetschedError> {
         if !(rho.is_finite() && rho > 0.0 && rho < 1.0) {
-            return Err(SystemError::BadParameter);
+            return Err(bad_parameter());
         }
         if speeds.is_empty() {
-            return Err(SystemError::NoComputers);
+            return Err(HetschedError::NoComputers);
         }
         let total: f64 = speeds.iter().sum();
         HetSystem::new(speeds, 1.0, rho * total)
@@ -140,29 +110,32 @@ impl HetSystem {
         self.lambda / self.capacity()
     }
 
-    /// A copy of the system with a different arrival rate (used by load
-    /// sweeps).
-    pub fn with_lambda(&self, lambda: f64) -> Result<Self, SystemError> {
-        HetSystem::new(&self.speeds, self.mu, lambda)
-    }
-
     /// The *simple weighted* allocation: `α_i = s_i / Σ s_j` (§2.1).
     pub fn weighted_allocation(&self) -> Vec<f64> {
         let total = self.total_speed();
         self.speeds.iter().map(|s| s / total).collect()
     }
+}
 
+/// The error for a speed, `μ`, `λ` or `ρ` out of range.
+fn bad_parameter() -> HetschedError {
+    HetschedError::BadParameter("speeds, μ and λ must be positive and finite".into())
+}
+
+#[cfg(test)]
+impl HetSystem {
     /// The *equal share* allocation: `α_i = 1/n` — the speed-blind
-    /// baseline that plain round-robin implements.
-    pub fn equal_allocation(&self) -> Vec<f64> {
+    /// baseline that plain round-robin implements (a test oracle).
+    pub(crate) fn equal_allocation(&self) -> Vec<f64> {
         vec![1.0 / self.len() as f64; self.len()]
     }
 }
 
 /// Checks that an allocation vector is a valid probability vector that
 /// keeps every computer of `sys` unsaturated: `Σα = 1`, `α_i ≥ 0`,
-/// `α_iλ < s_iμ`.
-pub fn validate_allocation(sys: &HetSystem, alphas: &[f64]) -> bool {
+/// `α_iλ < s_iμ` (a test oracle).
+#[cfg(test)]
+pub(crate) fn validate_allocation(sys: &HetSystem, alphas: &[f64]) -> bool {
     if alphas.len() != sys.len() {
         return false;
     }
@@ -198,38 +171,38 @@ mod tests {
 
     #[test]
     fn rejects_empty() {
-        assert_eq!(HetSystem::new(&[], 1.0, 0.5), Err(SystemError::NoComputers));
+        assert_eq!(
+            HetSystem::new(&[], 1.0, 0.5),
+            Err(HetschedError::NoComputers)
+        );
         assert_eq!(
             HetSystem::from_utilization(&[], 0.5),
-            Err(SystemError::NoComputers)
+            Err(HetschedError::NoComputers)
         );
     }
 
     #[test]
     fn rejects_bad_parameters() {
-        assert_eq!(
+        for err in [
             HetSystem::new(&[1.0, -1.0], 1.0, 0.5),
-            Err(SystemError::BadParameter)
-        );
-        assert_eq!(
             HetSystem::new(&[1.0], 0.0, 0.5),
-            Err(SystemError::BadParameter)
-        );
-        assert_eq!(
             HetSystem::new(&[1.0], 1.0, f64::NAN),
-            Err(SystemError::BadParameter)
-        );
-        assert_eq!(
             HetSystem::from_utilization(&[1.0], 1.0),
-            Err(SystemError::BadParameter)
-        );
+        ] {
+            assert_eq!(
+                err,
+                Err(HetschedError::BadParameter(
+                    "speeds, μ and λ must be positive and finite".into()
+                ))
+            );
+        }
     }
 
     #[test]
     fn rejects_saturation() {
         assert_eq!(
             HetSystem::new(&[1.0, 1.0], 1.0, 2.0),
-            Err(SystemError::Saturated)
+            Err(HetschedError::Saturated)
         );
         assert!(HetSystem::new(&[1.0, 1.0], 1.0, 1.999).is_ok());
     }
@@ -257,22 +230,5 @@ mod tests {
         assert!(!validate_allocation(&sys, &[1.0, 0.0])); // saturates c1: 1·1.8 ≥ 1
         assert!(!validate_allocation(&sys, &[-0.1, 1.1])); // negative
         assert!(!validate_allocation(&sys, &[1.0])); // wrong length
-    }
-
-    #[test]
-    fn with_lambda_rescales() {
-        let sys = HetSystem::from_utilization(&[2.0, 2.0], 0.5).unwrap();
-        let heavier = sys.with_lambda(3.0).unwrap();
-        assert!((heavier.utilization() - 0.75).abs() < 1e-12);
-        assert_eq!(heavier.speeds(), sys.speeds());
-        assert_eq!(sys.with_lambda(5.0), Err(SystemError::Saturated));
-    }
-
-    #[test]
-    fn error_display() {
-        assert!(SystemError::Saturated.to_string().contains("λ ≥ μ·Σs"));
-        assert!(SystemError::NoComputers
-            .to_string()
-            .contains("no computers"));
     }
 }

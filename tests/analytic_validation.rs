@@ -192,3 +192,23 @@ fn per_machine_utilization_matches_alpha() {
         );
     }
 }
+
+#[test]
+fn pollaczek_khinchine_puts_fcfs_at_13x_ps() {
+    // The discipline ablation's analytic yardstick: one M/G/1 queue with
+    // the paper's BP(10, 21600, 1) sizes at ρ = 0.7. Pollaczek–Khinchine
+    // gives the FCFS mean wait W = λE[S²]/(2(1−ρ)); PS responds in
+    // E[S]/(1−ρ). E[S²] ≈ 2.16·10⁵ s² gives W ≈ 3280 s against a PS
+    // response of 256 s: FCFS/PS ≈ 13.1.
+    use hetsched::dist::{BoundedPareto, Moments};
+    let bp = BoundedPareto::paper_default();
+    let rho = 0.7;
+    let lambda = rho / bp.mean();
+    let fcfs = bp.mean() + lambda * bp.second_moment() / (2.0 * (1.0 - rho));
+    let ps = bp.mean() / (1.0 - rho);
+    assert!(
+        (fcfs / ps - 13.1).abs() < 0.2,
+        "FCFS/PS = {} expected ≈ 13.1 for BP(10, 21600, 1) at ρ = 0.7",
+        fcfs / ps
+    );
+}

@@ -234,3 +234,53 @@ fn a_round_robin_quantum_that_is_not_positive_is_refused() {
     cfg.discipline = DisciplineSpec::QuantumRoundRobin { quantum: -1.0 };
     assert_refused(cfg, PolicySpec::DynamicLeastLoad, "discipline.quantum");
 }
+
+#[test]
+fn an_obs_window_of_zero_is_refused() {
+    let mut cfg = small_cfg();
+    cfg.obs = Some(ObsSpec::every(0.0));
+    assert_refused(cfg, PolicySpec::DynamicLeastLoad, "obs.sample_interval");
+}
+
+/// ORR on `paper_default(speeds)` at `utilization`, with a 100 s horizon
+/// and no warm-up.
+fn orr_cfg(speeds: &[f64], utilization: f64) -> ClusterConfig {
+    let mut cfg = ClusterConfig::paper_default(speeds).with_utilization(utilization);
+    cfg.horizon = 100.0;
+    cfg.warmup = 0.0;
+    cfg
+}
+
+/// `ClusterConfig::validate` and `Experiment::run` both refuse `cfg`
+/// under ORR with an `InvalidConfig` naming `field`, before any policy
+/// is built.
+fn assert_refused_by_validate(cfg: ClusterConfig, field: &str) {
+    let mut exp = Experiment::new("refused", cfg.clone(), PolicySpec::orr());
+    exp.replications = 1;
+    let pooled = exp.run().expect_err("Experiment::run accepted the spec");
+    let direct = cfg.validate().expect_err("validate accepted the spec");
+    for err in [direct, pooled] {
+        match err.root_cause() {
+            HetschedError::InvalidConfig(msg) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("expected an InvalidConfig naming {field}, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_utilization_whose_arrival_rate_underflows_is_refused() {
+    assert_refused_by_validate(orr_cfg(&[1.0, 2.0], 5e-324), "utilization");
+}
+
+#[test]
+fn a_utilization_whose_arrival_rate_is_subnormal_is_refused() {
+    assert_refused_by_validate(orr_cfg(&[1.0, 2.0], 1e-320), "utilization");
+}
+
+#[test]
+fn speeds_whose_sum_overflows_are_refused() {
+    let cfg = orr_cfg(&[1e308, 1e308], 0.7);
+    // Building the allocation without validating first is an error too.
+    assert!(PolicySpec::orr().build(&cfg).is_err());
+    assert_refused_by_validate(cfg, "speeds");
+}

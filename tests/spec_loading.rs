@@ -93,3 +93,26 @@ fn readme_config_fragments_load() {
     seen.sort();
     assert_eq!(seen, ["channels", "dispatch", "faults", "fleet"]);
 }
+
+/// `RunStats` archived while the kernel counters still carried the
+/// calendar queue's `resizes` (always 0) load unchanged: the retired
+/// member is ignored.
+#[test]
+fn run_stats_with_the_retired_resizes_counter_still_load() {
+    let mut cfg = ClusterConfig::paper_default(&[1.0, 2.0]);
+    cfg.horizon = 2_000.0;
+    cfg.warmup = 0.0;
+    cfg.obs = Some(ObsSpec::every(500.0));
+    let stats = Experiment::new("obs", cfg, PolicySpec::orr())
+        .run_single(0)
+        .unwrap();
+    let mut v = stats.to_json();
+    let kernel = v.as_object_mut().unwrap()["obs"].as_object_mut().unwrap()["kernel"]
+        .as_object_mut()
+        .unwrap();
+    assert!(kernel.get("resizes").is_none());
+    kernel.push("resizes", Value::Number("0".into()));
+    let text = json::to_string(&v);
+    assert!(text.contains(r#""high_water":"#) && text.contains(r#","resizes":0}"#));
+    assert_eq!(json::from_str::<RunStats>(&text).unwrap(), stats);
+}
