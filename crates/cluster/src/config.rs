@@ -449,6 +449,8 @@ impl ClusterConfig {
                     "deviation interval must be positive".into(),
                 ));
             }
+            // Closing a window sweeps the fleet's dispatch counters.
+            self.check_window_budget("deviation_interval", iv, self.speeds.len())?;
         }
         if let Some(trace) = &self.trace {
             trace.validate()?;
@@ -458,6 +460,13 @@ impl ClusterConfig {
         }
         if let Some(obs) = &self.obs {
             obs.validate()?;
+            let columns = crate::obs::column_count(
+                self.speeds.len(),
+                self.dispatch.dispatchers,
+                matches!(&self.channels, Some(c) if !c.is_reliable()),
+                self.malleable.as_ref().is_some_and(|m| m.active()),
+            );
+            self.check_window_budget("obs.sample_interval", obs.sample_interval, columns)?;
         }
         self.dispatch.validate()?;
         if let Some(channels) = &self.channels {
@@ -478,7 +487,39 @@ impl ClusterConfig {
         }
         Ok(())
     }
+
+    /// Refuses a sampling `interval` (the spec's `field`) whose windows
+    /// over the horizon, times the `columns` each window fills or sweeps,
+    /// exceed [`MAX_WINDOW_CELLS`].
+    fn check_window_budget(
+        &self,
+        field: &str,
+        interval: f64,
+        columns: usize,
+    ) -> Result<(), HetschedError> {
+        let windows = self.horizon / interval;
+        if windows * columns as f64 > MAX_WINDOW_CELLS {
+            return Err(HetschedError::InvalidConfig(format!(
+                "{field} {interval} gives {windows:.0} windows over the {} s horizon, \
+                 {columns} columns each: more than the {MAX_WINDOW_CELLS} cells a run may \
+                 record",
+                self.horizon
+            )));
+        }
+        Ok(())
+    }
 }
+
+/// The most window cells a run may record: observability windows times
+/// report columns, or deviation windows times servers.
+///
+/// An observability row keeps one f64 per column, so this caps a
+/// replication's table at 256 MiB; a deviation window keeps one f64 but
+/// closes with a sweep over every server's dispatch counter. The largest
+/// committed spec, the benchmark's `lossy-faults` (33,333 windows of 120
+/// s × 55 columns), records ~1.8 M cells, 18× below. A window of 10⁻³ s
+/// over the paper's 4·10⁶ s horizon would ask for 4·10⁹ rows.
+const MAX_WINDOW_CELLS: f64 = 33_554_432.0;
 
 #[cfg(test)]
 mod tests {

@@ -216,10 +216,33 @@ pub struct AllocJob {
 /// This is the from-scratch entry: it runs the solver the tier runtime
 /// keeps, with fresh state.
 pub fn hesrpt_shares(jobs: &[AllocJob], cores: f64) -> Vec<f64> {
+    let mut solver = Hesrpt::default();
+    let reqs: Vec<Req> = jobs
+        .iter()
+        .map(|j| Req {
+            remaining: j.remaining,
+            seq: j.seq,
+            power: solver.row_of(j.elasticity),
+            cap: j.cap,
+        })
+        .collect();
     let mut rank: Vec<usize> = (0..jobs.len()).collect();
     let mut share = Vec::new();
-    Hesrpt::default().solve(jobs, &mut rank, cores, &mut share);
+    solver.solve(&reqs, &mut rank, cores, &mut share);
     share
+}
+
+/// One job as the solver reads it.
+#[derive(Debug, Clone, Copy)]
+struct Req {
+    /// The rank key: remaining inherent work, then the admission
+    /// sequence number.
+    remaining: f64,
+    seq: u64,
+    /// The job's row in the solver's power table.
+    power: usize,
+    /// The largest share the job can use.
+    cap: f64,
 }
 
 /// The heSRPT solver's reusable state: one power row per exponent and
@@ -238,80 +261,106 @@ struct Hesrpt {
 }
 
 impl Hesrpt {
-    /// The row `k^{inv_p}` of `powers`, grown to cover `k = 0..=m`.
-    fn row(powers: &mut Vec<(u64, Vec<f64>)>, inv_p: f64, m: usize) -> &[f64] {
-        let key = inv_p.to_bits();
-        let at = match powers.iter().position(|(bits, _)| *bits == key) {
+    /// The index of the power row for elasticity `p`, keyed by the bits
+    /// of `1/p`; a new exponent gets an empty row, grown by the passes.
+    fn row_of(&mut self, elasticity: f64) -> usize {
+        let key = (1.0 / elasticity.clamp(1e-6, 1.0)).to_bits();
+        match self.powers.iter().position(|(bits, _)| *bits == key) {
             Some(at) => at,
             None => {
-                powers.push((key, Vec::new()));
-                powers.len() - 1
+                self.powers.push((key, Vec::new()));
+                self.powers.len() - 1
             }
-        };
-        let row = &mut powers[at].1;
-        for k in row.len()..=m {
-            row.push((k as f64).powf(inv_p));
         }
-        row
     }
 
     /// Writes the allocation of `jobs` into `share` (indexed like
     /// `jobs`). `rank` must hold a permutation of `0..jobs.len()`; it is
-    /// re-sorted in place by `(remaining, seq)`. `seq` is unique, so the
-    /// result equals a from-scratch sort, and a rank kept from the last
-    /// pass is almost sorted, which the stable sort finishes in ~O(M).
-    fn solve(&mut self, jobs: &[AllocJob], rank: &mut [usize], cores: f64, share: &mut Vec<f64>) {
+    /// re-sorted in place by `(remaining, seq)`. A rank kept from the
+    /// last pass is almost sorted, which an insertion sort finishes in
+    /// about `M` comparisons. The sort is stable, and `seq` is unique in
+    /// a tier, so the result equals a from-scratch sort.
+    fn solve(&mut self, jobs: &[Req], rank: &mut [usize], cores: f64, share: &mut Vec<f64>) {
         let m = jobs.len();
         share.clear();
         share.resize(m, 0.0);
         if m == 0 || cores <= 0.0 {
             return;
         }
-        rank.sort_by(|&a, &b| {
+        let before = |a: usize, b: usize| {
             jobs[a]
                 .remaining
                 .total_cmp(&jobs[b].remaining)
                 .then(jobs[a].seq.cmp(&jobs[b].seq))
-        });
+                .is_lt()
+        };
+        for k in 1..m {
+            let job = rank[k];
+            let mut at = k;
+            while at > 0 && before(job, rank[at - 1]) {
+                rank[at] = rank[at - 1];
+                at -= 1;
+            }
+            rank[at] = job;
+        }
         let Hesrpt {
             powers,
             weight,
             capped,
         } = self;
+        for (bits, row) in powers.iter_mut() {
+            let inv_p = f64::from_bits(*bits);
+            for k in row.len()..=m {
+                row.push((k as f64).powf(inv_p));
+            }
+        }
         weight.clear();
         weight.resize(m, 0.0);
         for (r, &i) in rank.iter().enumerate() {
-            let inv_p = 1.0 / jobs[i].elasticity.clamp(1e-6, 1.0);
-            let row = Self::row(powers, inv_p, m);
+            let row = &powers[jobs[i].power].1;
             weight[i] = row[m - r] - row[m - r - 1];
         }
         capped.clear();
         capped.resize(m, false);
         let mut free = cores;
+        // Each round sums the uncapped weights in index order, afresh:
+        // with mixed exponents the weights are not integers, so the
+        // order is part of the result's bits. Nothing is capped yet in
+        // the first round.
+        let mut raw_sum: f64 = weight.iter().sum();
         loop {
-            // Summed in index order: with mixed exponents the weights are
-            // not integers, so the order is part of the result's bits.
-            let raw_sum: f64 = (0..m).filter(|&i| !capped[i]).map(|i| weight[i]).sum();
             if raw_sum <= 0.0 || free <= 0.0 {
-                break;
-            }
-            // Clamp the first violator (in rank order, so the fixed point is
-            // deterministic) and redistribute; at most M passes.
-            let violator = rank
-                .iter()
-                .copied()
-                .find(|&i| !capped[i] && free * weight[i] / raw_sum > jobs[i].cap);
-            let Some(i) = violator else {
-                for i in 0..m {
-                    if !capped[i] {
-                        share[i] = free * weight[i] / raw_sum;
+                // No weight or no cores left: the uncapped jobs idle.
+                for (s, &c) in share.iter_mut().zip(capped.iter()) {
+                    if !c {
+                        *s = 0.0;
                     }
                 }
-                break;
-            };
+                return;
+            }
+            // The round's shares, each computed once: the cap test and
+            // the final write read the same quotient.
+            let mut violated = false;
+            for i in 0..m {
+                if !capped[i] {
+                    share[i] = free * weight[i] / raw_sum;
+                    violated |= share[i] > jobs[i].cap;
+                }
+            }
+            if !violated {
+                return;
+            }
+            // Clamp the first violator (in rank order, so the fixed point
+            // is deterministic) and redistribute; at most M rounds.
+            let i = rank
+                .iter()
+                .copied()
+                .find(|&i| !capped[i] && share[i] > jobs[i].cap)
+                .expect("a share above its cap");
             share[i] = jobs[i].cap;
             capped[i] = true;
-            free -= jobs[i].cap;
+            free -= share[i];
+            raw_sum = (0..m).filter(|&i| !capped[i]).map(|i| weight[i]).sum();
         }
     }
 }
@@ -358,14 +407,53 @@ pub struct TierJob {
     pub seq: u64,
 }
 
+impl TierJob {
+    /// Whether the job is done at clock `now`: its remaining work is
+    /// inside the relative tolerance, or it [`stalls`].
+    #[inline]
+    fn finished(&self, now: f64) -> bool {
+        self.remaining <= self.inherent * FINISH_RTOL
+            || (self.rate > 0.0 && stalls(now, self.remaining, self.rate))
+    }
+}
+
+/// `2^52`, the reciprocal of [`f64::EPSILON`].
+const INV_EPSILON: f64 = 4_503_599_627_370_496.0;
+
+/// `2^1000`: `remaining · 2^1000 > rate` keeps `remaining / rate` a
+/// normal number, far above where a quotient underflows.
+const NO_UNDERFLOW: f64 = f64::from_bits((1023 + 1000) << 52);
+
+/// Whether the completion `now + remaining / rate` rounds onto `now`
+/// (`rate > 0`): the job can no longer advance the f64 clock.
+///
+/// That needs `remaining / rate` below one ulp of `now`, so a
+/// multiplication rules out almost every job before any division. The
+/// pre-test scales `remaining`, which is exact, and claims progress only
+/// when the quotient is a normal number (second factor) above
+/// `now · 2^-52` (first factor). Then the quotient exceeds half an ulp of
+/// `now`, with a factor of two to spare for the rounding of `rate · now`
+/// and of the quotient, and the sum rounds up. It holds for `now = 0`, a
+/// subnormal `remaining` or `now`, a quotient that underflows, and a
+/// `rate · now` that overflows (the pre-test then defers to the
+/// division).
+#[inline]
+fn stalls(now: f64, remaining: f64, rate: f64) -> bool {
+    if remaining * INV_EPSILON > rate * now && remaining * NO_UNDERFLOW > rate {
+        return false;
+    }
+    now + remaining / rate <= now
+}
+
 /// Per-class allocation parameters, precomputed from the spec.
 #[derive(Debug, Clone)]
 struct ClassInfo {
     curve: SpeedupCurve,
-    elasticity: f64,
     cap: f64,
     /// Offline arrival share, the static allocator's class budget.
     arrival_share: f64,
+    /// The class's row in the heSRPT solver's power table.
+    power: usize,
 }
 
 /// The live allocation tier: jobs holding fractional server shares,
@@ -391,7 +479,7 @@ pub struct MalleableRuntime {
     /// The heSRPT solver, its power rows kept across passes.
     solver: Hesrpt,
     /// The solver's input rows, indexed like `jobs` (reused buffer).
-    reqs: Vec<AllocJob>,
+    reqs: Vec<Req>,
     /// The pass's shares, indexed like `jobs` (reused buffer).
     shares: Vec<f64>,
     /// `reap`'s old → new position map (reused buffer).
@@ -410,19 +498,20 @@ impl MalleableRuntime {
     /// Builds the tier for a spec and an allocation rule.
     pub fn new(kind: AllocatorKind, spec: &MalleableSpec) -> Self {
         let shares = spec.arrival_shares();
+        let mut solver = Hesrpt::default();
         let mut classes = Vec::with_capacity(spec.classes.len() + 1);
         classes.push(ClassInfo {
             curve: SpeedupCurve::Rigid,
-            elasticity: 1.0,
             cap: 1.0,
             arrival_share: shares[0],
+            power: solver.row_of(1.0),
         });
         for (i, class) in spec.classes.iter().enumerate() {
             classes.push(ClassInfo {
                 curve: class.curve.clone(),
-                elasticity: class.curve.elasticity(),
                 cap: class.curve.max_useful_cores(),
                 arrival_share: shares[i + 1],
+                power: solver.row_of(class.curve.elasticity()),
             });
         }
         MalleableRuntime {
@@ -430,7 +519,7 @@ impl MalleableRuntime {
             classes,
             jobs: Vec::new(),
             rank: Vec::new(),
-            solver: Hesrpt::default(),
+            solver,
             reqs: Vec::new(),
             shares: Vec::new(),
             moved: Vec::new(),
@@ -479,7 +568,16 @@ impl MalleableRuntime {
     }
 
     /// Removes and returns every finished job, in admission order
-    /// (advance to `now` first).
+    /// (advance to `now` first); [`reap_into`](Self::reap_into) without
+    /// a buffer.
+    pub fn reap(&mut self) -> Vec<TierJob> {
+        let mut done = Vec::new();
+        self.reap_into(&mut done);
+        done
+    }
+
+    /// Removes every finished job and appends it to `done`, in admission
+    /// order (advance to `now` first).
     ///
     /// A job is finished when its remaining work is inside the relative
     /// tolerance — or when its completion can no longer advance the f64
@@ -488,15 +586,18 @@ impl MalleableRuntime {
     /// representable tick of a predicted completion would otherwise
     /// leave a residue above the tolerance whose wake re-fires at the
     /// same timestamp forever, with `dt = 0` draining nothing.
-    pub fn reap(&mut self) -> Vec<TierJob> {
-        let mut done = Vec::new();
+    pub fn reap_into(&mut self, done: &mut Vec<TierJob>) {
+        let now = self.last_t;
+        // Most reaps run at an arrival and find nothing.
+        let Some(first) = self.jobs.iter().position(|j| j.finished(now)) else {
+            return;
+        };
         self.moved.clear();
-        let mut kept = 0;
-        for i in 0..self.jobs.len() {
+        self.moved.extend(0..first);
+        let mut kept = first;
+        for i in first..self.jobs.len() {
             let j = self.jobs[i];
-            let finished = j.remaining <= j.inherent * FINISH_RTOL
-                || (j.rate > 0.0 && self.last_t + j.remaining / j.rate <= self.last_t);
-            if finished {
+            if j.finished(now) {
                 done.push(j);
                 self.moved.push(usize::MAX);
             } else {
@@ -505,34 +606,33 @@ impl MalleableRuntime {
                 kept += 1;
             }
         }
-        if !done.is_empty() {
-            self.jobs.truncate(kept);
-            let moved = &self.moved;
-            self.rank.retain_mut(|pos| {
-                *pos = moved[*pos];
-                *pos != usize::MAX
-            });
-        }
-        done
+        self.jobs.truncate(kept);
+        let moved = &self.moved;
+        self.rank.retain_mut(|pos| {
+            *pos = moved[*pos];
+            *pos != usize::MAX
+        });
     }
 
     /// Recomputes every job's share and rate for the current capacity:
     /// `cores` whole-server units at mean per-core speed `core_speed`.
-    /// Returns the cores now in use, summed in admission order.
-    pub fn reallocate(&mut self, cores: f64, core_speed: f64) -> f64 {
+    /// Returns the cores now in use, summed in admission order, and the
+    /// next completion at the new rates (what
+    /// [`next_completion`](Self::next_completion) answers).
+    pub fn reallocate(&mut self, cores: f64, core_speed: f64) -> (f64, Option<f64>) {
         if self.jobs.is_empty() {
-            return self.cores_in_use();
+            return (self.cores_in_use(), None);
         }
         match self.kind {
             AllocatorKind::Hesrpt => {
                 self.reqs.clear();
                 self.reqs.extend(self.jobs.iter().map(|j| {
                     let info = &self.classes[usize::from(j.class)];
-                    AllocJob {
+                    Req {
                         remaining: j.remaining,
-                        elasticity: info.elasticity,
-                        cap: info.cap.min(cores),
                         seq: j.seq,
+                        power: info.power,
+                        cap: info.cap.min(cores),
                     }
                 }));
                 self.solver
@@ -542,16 +642,39 @@ impl MalleableRuntime {
                 static_shares(&self.classes, &self.jobs, cores, &mut self.shares);
             }
         }
+        // One pass sets the rates, sums the shares in admission order
+        // and finds the next completion. No share is -0.0 and there is
+        // at least one, so the sum starting at 0.0 has the bits of
+        // `Iterator::sum`.
+        let now = self.last_t;
+        let mut in_use = 0.0;
+        let mut next: Option<f64> = None;
         for (job, &share) in self.jobs.iter_mut().zip(&self.shares) {
             job.share = share;
             job.rate = self.classes[usize::from(job.class)].curve.speedup(share) * core_speed;
+            in_use += share;
+            if job.rate > 0.0 {
+                let t = now + job.remaining / job.rate;
+                if next.is_none_or(|n| t.total_cmp(&n).is_lt()) {
+                    next = Some(t);
+                }
+            }
         }
+        debug_assert_eq!(
+            in_use.to_bits(),
+            self.shares.iter().sum::<f64>().to_bits(),
+            "in-use total"
+        );
+        debug_assert_eq!(
+            next.map(f64::to_bits),
+            self.next_completion().map(f64::to_bits),
+            "handed-back next completion"
+        );
         self.reallocations += 1;
-        let in_use: f64 = self.shares.iter().sum();
         if in_use > self.max_cores_in_use {
             self.max_cores_in_use = in_use;
         }
-        in_use
+        (in_use, next)
     }
 
     /// The absolute time of the next tier completion at current rates,
@@ -643,6 +766,9 @@ hetsched_json::json_struct!(MalleableStats {
     max_cores_in_use,
     fleet_cores,
 });
+
+#[cfg(test)]
+mod frozen;
 
 #[cfg(test)]
 mod tests {
@@ -996,7 +1122,12 @@ mod tests {
                     .iter()
                     .map(|j| {
                         let info = &rt.classes[usize::from(j.class)];
-                        req(j.remaining, info.elasticity, info.cap.min(cores), j.seq)
+                        req(
+                            j.remaining,
+                            info.curve.elasticity(),
+                            info.cap.min(cores),
+                            j.seq,
+                        )
                     })
                     .collect();
                 hesrpt_shares(&rows, cores)
@@ -1053,7 +1184,7 @@ mod tests {
                         _ => {
                             let cores = rng.below(9) as f64;
                             let core_speed = rng.uniform(0.25, 4.0);
-                            let in_use = rt.reallocate(cores, core_speed);
+                            let (in_use, _) = rt.reallocate(cores, core_speed);
                             passes += 1;
                             let want = fresh_shares(&rt, cores);
                             assert_eq!(want.len(), rt.jobs().len());
@@ -1097,6 +1228,166 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A job's fields as bits, for exact comparison.
+    fn job_bits(j: &TierJob) -> (usize, u16, [u64; 4], u64) {
+        let bits = [j.inherent, j.remaining, j.share, j.rate].map(f64::to_bits);
+        (j.id, j.class, bits, j.seq)
+    }
+
+    fn assert_same_jobs(got: &[TierJob], want: &[TierJob], at: &str) {
+        assert_eq!(got.len(), want.len(), "{at}: job count");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(job_bits(g), job_bits(w), "{at}: job {i}");
+        }
+    }
+
+    #[test]
+    fn runtime_matches_the_frozen_pass_bit_for_bit() {
+        // The flat pass against the pass it replaced, in lockstep, with
+        // the clock starting near 0, 1e6 (ulp ~1.2e-10) and 1e15 (ulp
+        // 0.125, where the no-progress clause reaps often).
+        use frozen::FrozenRuntime;
+        use hetsched_desim::Rng64;
+        let specs = [
+            ("mixed", mixed_spec()),
+            ("power_law(0.5, 0.5)", spec(0.5, 0.5)),
+        ];
+        for (name, spec) in &specs {
+            let classes = spec.classes.len() as u64 + 1;
+            for kind in [AllocatorKind::Hesrpt, AllocatorKind::StaticClass] {
+                for (seed, start) in [(1u64, 0.0), (2, 1.0e6), (3, 1.0e15)] {
+                    let mut rng = Rng64::from_seed(seed);
+                    let mut rt = MalleableRuntime::new(kind, spec);
+                    let mut old = FrozenRuntime::new(kind, spec);
+                    rt.advance(start);
+                    old.advance(start);
+                    let (mut next_id, mut reaped) = (0, 0);
+                    for step in 0..20_000 {
+                        let at = format!("{name}, {kind:?}, seed {seed}, step {step}");
+                        match rng.below(4) {
+                            0 if rt.jobs().len() < 40 => {
+                                let class = rng.below(classes) as u16;
+                                let size = if rng.chance(0.5) {
+                                    (1 + rng.below(6)) as f64
+                                } else {
+                                    rng.uniform(0.1, 20.0)
+                                };
+                                rt.admit(next_id, class, size);
+                                old.admit(next_id, class, size);
+                                next_id += 1;
+                            }
+                            0 | 1 => {
+                                let t = match old.next_completion() {
+                                    Some(t) if rng.chance(0.5) => t,
+                                    Some(t) => rt.last_t + (t - rt.last_t) * rng.next_f64(),
+                                    None => rt.last_t + rng.uniform(0.0, 5.0),
+                                };
+                                rt.advance(t);
+                                old.advance(t);
+                            }
+                            2 => {
+                                let done = rt.reap();
+                                assert_same_jobs(&done, &old.reap(), &format!("{at}: reaped"));
+                                reaped += done.len();
+                            }
+                            _ => {
+                                let cores = rng.below(9) as f64;
+                                let core_speed = rng.uniform(0.25, 4.0);
+                                let (in_use, next) = rt.reallocate(cores, core_speed);
+                                let want = old.reallocate(cores, core_speed);
+                                assert_eq!(in_use.to_bits(), want.to_bits(), "{at}: in use");
+                                let want = old.next_completion().map(f64::to_bits);
+                                assert_eq!(next.map(f64::to_bits), want, "{at}: handed back");
+                                let kept = rt.next_completion().map(f64::to_bits);
+                                assert_eq!(kept, want, "{at}: next completion");
+                            }
+                        }
+                        assert_same_jobs(rt.jobs(), old.jobs(), &at);
+                    }
+                    let at = format!("{name}, {kind:?}, seed {seed}");
+                    assert_eq!(rt.reallocations, old.reallocations, "{at}");
+                    let peak = (
+                        rt.max_cores_in_use.to_bits(),
+                        old.max_cores_in_use.to_bits(),
+                    );
+                    assert_eq!(peak.0, peak.1, "{at}: peak");
+                    assert!(reaped > 1_000, "{at}: only {reaped} jobs reaped");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_stall_pretest_agrees_with_the_division() {
+        use hetsched_desim::check::cases;
+        let division = |now: f64, remaining: f64, rate: f64| now + remaining / rate <= now;
+        let check = |now: f64, remaining: f64, rate: f64| {
+            assert_eq!(
+                stalls(now, remaining, rate),
+                division(now, remaining, rate),
+                "now {now:e}, remaining {remaining:e}, rate {rate:e}"
+            );
+        };
+        let sub = f64::from_bits(1);
+        let min = f64::MIN_POSITIVE;
+        // The clock at 0, subnormal and huge; a quotient that underflows
+        // to 0 (remaining subnormal, rate large); `rate · now` that
+        // underflows or overflows.
+        let nows = [0.0, sub, min, 1e-300, 0.5, 1.0, 1e6, 1e15, 1e300, f64::MAX];
+        let remainings = [
+            0.0,
+            sub,
+            3.0 * sub,
+            min / 2.0,
+            min,
+            1e-300,
+            1e-20,
+            2e-9,
+            0.0625,
+            1.0,
+            1e20,
+            1e300,
+            f64::MAX,
+        ];
+        let rates = [
+            sub,
+            min,
+            1e-300,
+            1e-10,
+            0.25,
+            1.0,
+            4.0,
+            1e10,
+            1e300,
+            f64::MAX,
+        ];
+        for now in nows {
+            for remaining in remainings {
+                for rate in rates {
+                    check(now, remaining, rate);
+                }
+            }
+        }
+        // Any finite non-negative bits, and remaining work scaled to
+        // where the answer flips: `remaining ≈ rate · now · 2^-53`.
+        let finite = |bits: u64| Some(f64::from_bits(bits >> 1)).filter(|x| x.is_finite());
+        cases("stall_pretest_agrees_with_the_division", 20_000, |g| {
+            let (Some(now), Some(remaining), Some(rate)) =
+                (finite(g.any()), finite(g.any()), finite(g.any()))
+            else {
+                return;
+            };
+            if rate > 0.0 {
+                check(now, remaining, rate);
+                let edge = rate * now * f64::EPSILON / 2.0 * g.draw(0.25..4.0);
+                check(now, edge, rate);
+                check(now, f64::from_bits(edge.to_bits() + 1), rate);
+                check(now, f64::from_bits(edge.to_bits().saturating_sub(1)), rate);
+                check(0.0, rate * sub * g.draw(0.0..4.0), rate);
+            }
+        });
     }
 
     #[test]

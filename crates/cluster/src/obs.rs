@@ -139,6 +139,26 @@ fn optional_columns(channels: bool, malleable: bool) -> Vec<(&'static str, Fold)
     columns
 }
 
+/// How many columns a report over `servers` servers has: what
+/// [`column_names`] names, counted without building the names.
+/// `shards` is the dispatcher count; below 2 the report has no shard
+/// pairs.
+pub(crate) fn column_count(
+    servers: usize,
+    shards: usize,
+    channels: bool,
+    malleable: bool,
+) -> usize {
+    let pairs = if shards >= 2 { shards } else { 0 };
+    let per_shard = CORE_COLUMNS.iter().filter(|c| c.2.is_some()).count();
+    let channel = if channels { CHANNEL_COLUMNS.len() } else { 0 };
+    SERVER_COLUMNS.len() * servers
+        + CORE_COLUMNS.len()
+        + per_shard * pairs
+        + channel
+        + usize::from(malleable)
+}
+
 /// Every column name of a report with `shards` shard pairs, in row
 /// order.
 fn column_names(servers: usize, shards: usize, channels: bool, malleable: bool) -> Vec<String> {
@@ -766,6 +786,24 @@ mod tests {
         assert_eq!(tail, vec!["msg_loss_rate", "retry_rate"]);
         assert_eq!(report.column("msg_loss_rate").unwrap(), vec![0.2, 0.0]);
         assert_eq!(report.column("retry_rate").unwrap(), vec![0.1, 0.1]);
+    }
+
+    #[test]
+    fn column_count_counts_the_column_names() {
+        for servers in [1, 2, 15] {
+            for shards in [0, 1, 2, 5] {
+                for (channels, malleable) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let pairs = if shards >= 2 { shards } else { 0 };
+                    assert_eq!(
+                        column_count(servers, shards, channels, malleable),
+                        column_names(servers, pairs, channels, malleable).len(),
+                        "{servers} servers, {shards} shards, {channels}, {malleable}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -148,8 +148,19 @@ impl Server {
 
     /// Updates the malleable tier's occupancy of this server (a
     /// fraction in `[0, 1]`), closing the busy integral at `now` first.
+    ///
+    /// The tier keeps the run queue empty, and a queue-length signal
+    /// that was and stays 0 accrues exactly nothing, so that update is
+    /// skipped. Busy and availability keep theirs: their integrals
+    /// accrue piecewise, and merging pieces would change the rounding.
     pub fn set_tier_share(&mut self, now: f64, share: f64) {
-        self.refresh(now);
+        let n = self.disc.queue_len();
+        if n > 0 || self.qlen.value() != 0.0 {
+            self.refresh(now);
+        } else {
+            self.busy.update(now, self.tier_share);
+            self.avail.update(now, if self.up { 1.0 } else { 0.0 });
+        }
         self.tier_share = share;
     }
 

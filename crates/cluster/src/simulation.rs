@@ -87,7 +87,7 @@ use crate::config::{ArrivalKind, ClusterConfig, PerServerMode};
 use crate::faults::{FaultSpec, JobFaultSemantics};
 use crate::index::FleetState;
 use crate::job::{JobId, JobRecord, JobSlab};
-use crate::malleable::{ClassStats, MalleableRuntime, MalleableSpec, MalleableStats};
+use crate::malleable::{ClassStats, MalleableRuntime, MalleableSpec, MalleableStats, TierJob};
 use crate::network::membership_notice_delay;
 use crate::obs::{merge_obs_reports, ObsDriver, ObsReport, WindowBuckets};
 use crate::pdes::ShardFeed;
@@ -550,10 +550,28 @@ struct MalleableTier {
     runtimes: Vec<MalleableRuntime>,
     /// Each shard's contiguous server slice.
     ranges: Vec<Range<usize>>,
+    /// Each shard's capacity: its up servers and their speed sum (see
+    /// [`slice_capacity`]), recomputed at every crash and repair.
+    capacity: Vec<(u32, f64)>,
     /// Server index → owning shard.
     shard_of: Vec<usize>,
     /// Shard `s`'s `TierWake` timer is `timer_base + s`.
     timer_base: usize,
+    /// The jobs the last reap finished (reused buffer).
+    done: Vec<TierJob>,
+}
+
+/// The up servers of `range` and their speed sum, in index order.
+fn slice_capacity(servers: &[Server], speeds: &[f64], range: Range<usize>) -> (u32, f64) {
+    let mut cores = 0u32;
+    let mut speed_sum = 0.0;
+    for i in range {
+        if servers[i].is_up() {
+            cores += 1;
+            speed_sum += speeds[i];
+        }
+    }
+    (cores, speed_sum)
 }
 
 /// Server `server`'s wake timer: the model's timers start with one per
@@ -739,9 +757,14 @@ impl<P: Policy> Model<P> {
                 }
                 MalleableTier {
                     runtimes: (0..d).map(|_| MalleableRuntime::new(kind, spec)).collect(),
+                    capacity: ranges
+                        .iter()
+                        .map(|r| slice_capacity(&servers, &cfg.speeds, r.clone()))
+                        .collect(),
                     ranges,
                     shard_of,
                     timer_base: n,
+                    done: Vec::new(),
                 }
             })
         });
@@ -1025,10 +1048,16 @@ impl<P: Policy> Model<P> {
         let front = tier.ranges[shard].start;
         let rt = &mut tier.runtimes[shard];
         rt.advance(now);
-        for job in rt.reap() {
+        rt.reap_into(&mut tier.done);
+        if tier.done.is_empty() {
+            return;
+        }
+        let mut done = std::mem::take(&mut tier.done);
+        for job in done.drain(..) {
             let rec = self.slab.remove(self.slab.live_id(job.id));
             self.record_completion(rec, front, now);
         }
+        self.tier.as_mut().expect("checked above").done = done;
     }
 
     /// Re-solves shard `shard`'s allocation for its current capacity
@@ -1037,20 +1066,8 @@ impl<P: Policy> Model<P> {
     /// the allocated fraction onto the slice's servers so utilization
     /// integrals stay honest.
     fn tier_reallocate(&mut self, shard: usize, now: f64, sched: &mut Scheduler<'_, Ev>) {
-        let range = self
-            .tier
-            .as_ref()
-            .expect("tier reallocate without a tier")
-            .ranges[shard]
-            .clone();
-        let mut cores = 0u32;
-        let mut speed_sum = 0.0;
-        for i in range.clone() {
-            if self.servers[i].is_up() {
-                cores += 1;
-                speed_sum += self.speeds[i];
-            }
-        }
+        let tier = self.tier.as_mut().expect("tier reallocate without a tier");
+        let (cores, speed_sum) = tier.capacity[shard];
         // Zero capacity (whole slice down) stalls the tier: rates drop
         // to 0, no completion is pending, and the repair hook restarts
         // progress — the tier's analogue of parked Restart jobs.
@@ -1059,22 +1076,20 @@ impl<P: Policy> Model<P> {
         } else {
             0.0
         };
-        let tier = self.tier.as_mut().expect("checked above");
-        let rt = &mut tier.runtimes[shard];
-        let in_use = rt.reallocate(f64::from(cores), core_speed);
+        let (in_use, next) = tier.runtimes[shard].reallocate(f64::from(cores), core_speed);
         let per_server = if cores > 0 {
             in_use / f64::from(cores)
         } else {
             0.0
         };
         let timer = Timer::new(tier.timer_base + shard);
-        match rt.next_completion() {
+        match next {
             Some(t) => sched.arm(timer, SimTime::new(t.max(now)), Ev::TierWake { shard }),
             None => {
                 sched.disarm(timer);
             }
         }
-        for i in range {
+        for i in tier.ranges[shard].clone() {
             let share = if self.servers[i].is_up() {
                 per_server
             } else {
@@ -1100,10 +1115,12 @@ impl<P: Policy> Model<P> {
     /// `now`, then the allocation re-solves against the new capacity —
     /// migration semantics, nothing is evicted or lost.
     fn tier_capacity_changed(&mut self, server: usize, now: f64, sched: &mut Scheduler<'_, Ev>) {
-        let Some(tier) = &self.tier else {
+        let Some(tier) = &mut self.tier else {
             return;
         };
         let shard = tier.shard_of[server];
+        tier.capacity[shard] =
+            slice_capacity(&self.servers, &self.speeds, tier.ranges[shard].clone());
         self.tier_reap(shard, now);
         self.tier_reallocate(shard, now, sched);
     }

@@ -213,6 +213,11 @@ impl<K: TreeKey> Tournament<K> {
 
     /// Re-reads slot `i`'s key and replays its root path after its key
     /// or presence changed: `O(log N)`.
+    ///
+    /// The replay stops at the first node whose winner is the same slot
+    /// before and after its match, when that slot is not `i`: the slot's
+    /// key did not change, so the node carries what it carried, and no
+    /// match above it reads anything new.
     #[inline]
     pub fn update<O: SlotOrder<Key = K> + ?Sized>(&mut self, i: usize, order: &O) {
         debug_assert!(i < self.len, "slot {i} out of {}", self.len);
@@ -220,7 +225,11 @@ impl<K: TreeKey> Tournament<K> {
         self.key[node] = order.key(i);
         while node > 1 {
             node /= 2;
+            let before = self.win[node];
             self.play(node, order);
+            if self.win[node] == before && before as usize != i {
+                break;
+            }
         }
     }
 
@@ -251,5 +260,100 @@ impl<K: TreeKey> Tournament<K> {
         self.root()
             .map(|(slot, _)| slot)
             .filter(|&slot| order.present(slot))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::check::{cases, Gen};
+
+    /// A slot-reading order like Algorithm 2's: nodes carry only
+    /// presence, and a match of two present slots reads their keys.
+    struct Reading<'a>(&'a [Option<u8>]);
+
+    impl SlotOrder for Reading<'_> {
+        type Key = bool;
+
+        fn present(&self, i: usize) -> bool {
+            self.0[i].is_some()
+        }
+
+        fn key(&self, i: usize) -> bool {
+            self.present(i)
+        }
+
+        fn le(&self, lo: usize, lo_in: bool, hi: usize, hi_in: bool) -> bool {
+            if lo_in && hi_in {
+                self.0[lo] <= self.0[hi]
+            } else {
+                lo_in
+            }
+        }
+    }
+
+    /// Every node of `tree` (winner and carried key, as printed) equals
+    /// a fresh rebuild's.
+    fn assert_matches_rebuild<K: TreeKey + std::fmt::Debug, O: SlotOrder<Key = K> + ?Sized>(
+        tree: &Tournament<K>,
+        order: &O,
+        at: &str,
+    ) {
+        let mut fresh = Tournament::new(tree.len());
+        fresh.rebuild(order);
+        assert_eq!(tree.win, fresh.win, "{at}: winners");
+        assert_eq!(
+            format!("{:?}", tree.key),
+            format!("{:?}", fresh.key),
+            "{at}: keys"
+        );
+    }
+
+    /// A small key with many ties: `None` is absent.
+    fn small(g: &mut Gen) -> Option<u8> {
+        let k = g.draw(0u8..6);
+        (k < 5).then_some(k)
+    }
+
+    #[test]
+    fn every_node_after_updates_equals_a_fresh_rebuild() {
+        cases("tournament_updates_match_rebuild", 256, |g| {
+            let len = g.draw(1usize..70);
+            let mut keys: Vec<Option<u8>> = g.vec(len, small);
+            let f64s = |keys: &[Option<u8>]| -> Vec<f64> {
+                keys.iter()
+                    .map(|k| k.map_or(f64::INFINITY, f64::from))
+                    .collect()
+            };
+            let u128s = |keys: &[Option<u8>]| -> Vec<u128> {
+                keys.iter()
+                    .map(|k| k.map_or(u128::MAX, |k| u128::from(k) << 64))
+                    .collect()
+            };
+            // f64 and u128 trees start from `new` (all absent, which is
+            // already what a rebuild gives them); the slot-reading tree
+            // from a rebuild, because its all-absent matches keep the
+            // right slot.
+            let mut by_f64 = Tournament::new(len);
+            let mut by_u128 = Tournament::new(len);
+            for i in 0..len {
+                by_f64.update(i, &f64s(&keys)[..]);
+                by_u128.update(i, &u128s(&keys)[..]);
+            }
+            let mut reading = Tournament::new(len);
+            reading.rebuild(&Reading(&keys));
+            for step in 0..200 {
+                let i = g.draw(0..len);
+                keys[i] = small(g);
+                let (f, u) = (f64s(&keys), u128s(&keys));
+                by_f64.update(i, &f[..]);
+                by_u128.update(i, &u[..]);
+                reading.update(i, &Reading(&keys));
+                let at = format!("len {len}, step {step}, slot {i}");
+                assert_matches_rebuild(&by_f64, &f[..], &at);
+                assert_matches_rebuild(&by_u128, &u[..], &at);
+                assert_matches_rebuild(&reading, &Reading(&keys), &at);
+            }
+        });
     }
 }

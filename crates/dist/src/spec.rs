@@ -324,6 +324,7 @@ impl SpeedupCurve {
 
     /// Evaluates `s(k)` for `k ≥ 0`. Assumes [`validate`](Self::validate)
     /// passed; fractional allocations below one core always scale linearly.
+    #[inline]
     pub fn speedup(&self, k: f64) -> f64 {
         if k <= 0.0 {
             return 0.0;

@@ -8,7 +8,7 @@
 //! "ORR(+10%)".
 
 use hetsched_error::HetschedError;
-use hetsched_queueing::closed_form::try_optimized_allocation_for;
+use hetsched_queueing::closed_form::{try_optimized_allocation_for, MIN_UTILIZATION};
 
 /// Declarative allocation scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,7 +75,7 @@ impl AllocationSpec {
                 } else if est <= 0.0 {
                     // A nonsensical estimate of an idle system: all load
                     // to the fastest machines — realize the ρ→0 limit.
-                    try_optimized_allocation_for(speeds, 1e-6)?
+                    try_optimized_allocation_for(speeds, MIN_UTILIZATION)?
                 } else {
                     try_optimized_allocation_for(speeds, est)?
                 }

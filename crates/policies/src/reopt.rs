@@ -24,7 +24,7 @@
 
 use hetsched_cluster::{DispatchCtx, Policy, SyncState};
 use hetsched_desim::Rng64;
-use hetsched_queueing::closed_form::try_optimized_allocation_for;
+use hetsched_queueing::closed_form::{try_optimized_allocation_for, MIN_UTILIZATION};
 
 use crate::round_robin::RoundRobinDispatch;
 
@@ -112,7 +112,7 @@ fn clamp_rho(rho: f64) -> f64 {
     if !rho.is_finite() {
         return 0.5;
     }
-    rho.clamp(1e-6, 0.999)
+    rho.clamp(MIN_UTILIZATION, 0.999)
 }
 
 /// Algorithm 1 over the live subset, expanded to a full-length fraction

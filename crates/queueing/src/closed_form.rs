@@ -60,12 +60,47 @@ fn cutoff_binary_search(sorted: &[f64], mu: f64, lambda: f64) -> usize {
     lower
 }
 
+/// The smallest utilization [`try_optimized_allocation_for`] solves at.
+///
+/// Each fraction is `(sμ − √(sμ)·c) / λ`: as `ρ → 0` both terms of the
+/// difference approach `sμ` while `λ = ρ·Σsμ` shrinks, so the rounding
+/// of the terms (relative `ε ≈ 2.2·10⁻¹⁶`) costs the fractions about
+/// `ε/ρ` of relative accuracy. At this floor that is ~2·10⁻¹⁰, inside the
+/// `10⁻⁹` their sum must come within of 1; at `ρ = 10⁻⁸` the sum already
+/// misses by more, and below `ρ ≈ 10⁻¹⁶` the difference cancels to 0.
+/// It is also the `ρ → 0` limit [`try_optimized_allocation_for`]'s
+/// callers realize for an idle system.
+pub const MIN_UTILIZATION: f64 = 1e-6;
+
+/// How far the unnormalized fractions may sum from 1 before the closed
+/// form counts as ill-conditioned.
+const SUM_TOLERANCE: f64 = 1e-9;
+
 /// Computes the optimized workload allocation for `sys` (Algorithm 1).
 ///
 /// Returns the fractions in the *original* speed order (the paper sorts
 /// internally; we restore the caller's order). The result satisfies
 /// `Σα = 1`, `α_i ≥ 0`, and `α_iλ < s_iμ` for every machine.
 pub fn optimized_allocation(sys: &HetSystem) -> Vec<f64> {
+    let (mut alphas, sum) = unnormalized_allocation(sys);
+    debug_assert!(
+        (sum - 1.0).abs() < SUM_TOLERANCE,
+        "allocation sum {sum} far from 1"
+    );
+    normalize(&mut alphas, sum);
+    alphas
+}
+
+/// The fractions sum to 1 analytically; dividing by their sum removes
+/// the rounding so downstream dispatchers can rely on `Σα = 1` exactly.
+fn normalize(alphas: &mut [f64], sum: f64) {
+    for a in alphas {
+        *a /= sum;
+    }
+}
+
+/// Algorithm 1's fractions before normalization, and their sum.
+fn unnormalized_allocation(sys: &HetSystem) -> (Vec<f64>, f64) {
     let n = sys.len();
     let mu = sys.mu();
     let lambda = sys.lambda();
@@ -99,14 +134,8 @@ pub fn optimized_allocation(sys: &HetSystem) -> Vec<f64> {
         alphas[orig] = a.max(0.0);
     }
 
-    // The fractions sum to 1 analytically; renormalize away rounding so
-    // downstream dispatchers can rely on Σα = 1 exactly.
     let sum: f64 = alphas.iter().sum();
-    debug_assert!((sum - 1.0).abs() < 1e-9, "allocation sum {sum} far from 1");
-    for a in &mut alphas {
-        *a /= sum;
-    }
-    alphas
+    (alphas, sum)
 }
 
 /// Convenience wrapper: optimized allocation for speeds at a target
@@ -146,11 +175,15 @@ pub fn optimized_allocation_for(speeds: &[f64], rho: f64) -> Vec<f64> {
 /// * [`HetschedError::NoComputers`] — `speeds` is empty (e.g. every
 ///   server failed);
 /// * [`HetschedError::BadParameter`] — a speed is not positive and
-///   finite, or `ρ ≤ 0` / non-finite;
+///   finite, `ρ ≤ 0` or non-finite, or (for two or more computers) `ρ`
+///   is below [`MIN_UTILIZATION`], where the closed form loses its
+///   accuracy to cancellation;
 /// * [`HetschedError::Saturated`] — `ρ ≥ 1`: no stabilizing allocation
 ///   exists;
-/// * [`HetschedError::Solver`] — the closed form produced a non-finite
-///   fraction (defensive; not expected for guarded inputs).
+/// * [`HetschedError::Solver`] — the unnormalized fractions sum further
+///   than `10⁻⁹` from 1, or to a non-finite value: the closed form is
+///   ill-conditioned for this fleet even above the floor (each summed
+///   speed adds its own rounding).
 pub fn try_optimized_allocation_for(speeds: &[f64], rho: f64) -> Result<Vec<f64>, HetschedError> {
     if speeds.is_empty() {
         return Err(HetschedError::NoComputers);
@@ -173,13 +206,23 @@ pub fn try_optimized_allocation_for(speeds: &[f64], rho: f64) -> Result<Vec<f64>
     if speeds.len() == 1 {
         return Ok(vec![1.0]);
     }
-    let sys = HetSystem::from_utilization(speeds, rho)?;
-    let alphas = optimized_allocation(&sys);
-    if alphas.iter().any(|a| !a.is_finite()) {
-        return Err(HetschedError::Solver(format!(
-            "closed form produced non-finite fractions for speeds {speeds:?} at rho {rho}"
+    if rho < MIN_UTILIZATION {
+        return Err(HetschedError::BadParameter(format!(
+            "utilization {rho} is below {MIN_UTILIZATION}, where Algorithm 1's closed form \
+             loses its accuracy to cancellation"
         )));
     }
+    let sys = HetSystem::from_utilization(speeds, rho)?;
+    let (mut alphas, sum) = unnormalized_allocation(&sys);
+    // Each fraction is clamped at 0, which maps a NaN to 0, so a finite
+    // sum near 1 leaves every normalized fraction finite.
+    if !sum.is_finite() || (sum - 1.0).abs() >= SUM_TOLERANCE {
+        return Err(HetschedError::Solver(format!(
+            "closed form is ill-conditioned for speeds {speeds:?} at rho {rho}: \
+             the fractions sum to {sum}"
+        )));
+    }
+    normalize(&mut alphas, sum);
     Ok(alphas)
 }
 

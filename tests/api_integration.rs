@@ -242,6 +242,60 @@ fn an_obs_window_of_zero_is_refused() {
     assert_refused(cfg, PolicySpec::DynamicLeastLoad, "obs.sample_interval");
 }
 
+#[test]
+fn an_obs_window_budget_overrun_is_refused() {
+    // 1 ms windows over the paper's 4·10⁶ s horizon: 4·10⁹ rows.
+    let mut cfg = ClusterConfig::paper_default(&[1.0, 2.0, 8.0]);
+    cfg.obs = Some(ObsSpec::every(1e-3));
+    assert_refused(cfg, PolicySpec::DynamicLeastLoad, "obs.sample_interval");
+}
+
+#[test]
+fn a_deviation_window_budget_overrun_is_refused() {
+    let mut cfg = ClusterConfig::paper_default(&[1.0, 2.0, 8.0]);
+    cfg.deviation_interval = Some(1e-3);
+    assert_refused(cfg, PolicySpec::DynamicLeastLoad, "deviation_interval");
+}
+
+#[test]
+fn the_window_budget_admits_the_paper_scale_specs() {
+    // The benchmark's lossy-faults plan (33,333 windows of 120 s over
+    // the Table 3 fleet with lossy channels) and 10 s windows on the
+    // paper's defaults stay inside the budget.
+    let mut cfg = ClusterConfig::paper_default(&hetsched::scenarios::table3_speeds());
+    cfg.channels = Some(ChannelSpec::uniform_loss(0.01));
+    cfg.obs = Some(ObsSpec::default());
+    cfg.deviation_interval = Some(120.0);
+    cfg.validate().expect("lossy-faults' windows fit");
+    cfg.obs = Some(ObsSpec::every(10.0));
+    cfg.validate().expect("10 s windows fit");
+}
+
+#[test]
+fn algorithm_1_refuses_loads_below_its_conditioning_floor() {
+    // Below ρ ≈ 1e-8 the closed form's cancellation broke the fractions'
+    // sum: the debug profile panicked, release returned NaN below 1e-16.
+    use hetsched::queueing::closed_form::{try_optimized_allocation_for, MIN_UTILIZATION};
+    for rho in [1e-8, 1e-9, 1e-17, 1e-7] {
+        match try_optimized_allocation_for(&[1.0, 2.0], rho) {
+            Err(HetschedError::BadParameter(msg)) => assert!(msg.contains("utilization"), "{msg}"),
+            other => panic!("rho {rho}: expected a BadParameter, got {other:?}"),
+        }
+    }
+    let at_floor = try_optimized_allocation_for(&[1.0, 2.0], MIN_UTILIZATION);
+    assert_eq!(at_floor, Ok(vec![0.0, 1.0]));
+    // One computer needs no closed form: it takes the whole load.
+    assert_eq!(try_optimized_allocation_for(&[3.0], 1e-9), Ok(vec![1.0]));
+    // A spec whose load is a normal number but below the floor is an
+    // error of the run, not a panic.
+    let mut exp = Experiment::new("tiny", orr_cfg(&[1.0, 2.0], 1e-9), PolicySpec::orr());
+    exp.replications = 1;
+    match exp.run().expect_err("ORR at rho 1e-9").root_cause() {
+        HetschedError::BadParameter(msg) => assert!(msg.contains("utilization"), "{msg}"),
+        other => panic!("expected a BadParameter, got {other:?}"),
+    }
+}
+
 /// ORR on `paper_default(speeds)` at `utilization`, with a 100 s horizon
 /// and no warm-up.
 fn orr_cfg(speeds: &[f64], utilization: f64) -> ClusterConfig {
