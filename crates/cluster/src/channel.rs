@@ -19,9 +19,10 @@
 //! The recovery machinery is configured here too: [`RetrySpec`] turns
 //! fire-and-forget dispatch into ack-based dispatch with deterministic
 //! timeout, exponential backoff, and bounded retries; [`HedgeSpec`]
-//! additionally duplicates a not-yet-acked dispatch to a second server
-//! after a hedge delay (first ack wins; resolving the transfer disarms
-//! its retry and hedge timers, and the loser's copy is dropped on arrival).
+//! additionally sends a not-yet-acked dispatch once more, to a fresh
+//! pick of the dispatcher's policy, after a hedge delay (the first copy
+//! to land wins; resolving the transfer disarms its retry and hedge
+//! timers, and the loser's copy is dropped on arrival).
 //!
 //! The house invariant: [`ChannelSpec::reliable()`] (and `channels:
 //! null`, the default) is **bit-identical** to the seed engine at
@@ -195,8 +196,9 @@ impl RetrySpec {
 }
 
 /// Hedged dispatch: if the first attempt is still unacked after `delay`
-/// seconds, duplicate the job to a second server; the first ack wins and
-/// the loser is cancelled.
+/// seconds, send one more copy of the job to a fresh pick of the owning
+/// dispatcher's policy (possibly the same server). The first copy to
+/// land wins; the loser becomes an orphan, dropped on arrival.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeSpec {
     /// Seconds of unacked silence before the hedge fires.

@@ -61,7 +61,8 @@
 //!   output statistics (mean response time / response ratio / fairness /
 //!   per-server detail).
 //! * [`simulation`] — the actor that wires everything to the
-//!   `hetsched-desim` engine.
+//!   `hetsched-desim` engine, one private module per seam: `arrival`,
+//!   `transfer`, `membership`, `tier` and `tally`.
 
 #![warn(missing_docs)]
 

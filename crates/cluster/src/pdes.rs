@@ -96,8 +96,7 @@ use crate::config::{ArrivalKind, ClusterConfig};
 use crate::malleable::MalleableSpec;
 use crate::policy::Policy;
 use crate::results::RunStats;
-use crate::simulation::{check_tier, finalize, Ev, Model, StreamPlan, MALLEABLE_STREAM};
-use crate::trace::TraceCollector;
+use crate::simulation::{finalize, prepare, Ev, Model, StreamPlan, MALLEABLE_STREAM};
 
 /// Base RNG stream index for per-shard dispatch/network streams.
 ///
@@ -410,24 +409,16 @@ impl<P: Policy> ParallelSimulation<P> {
     /// [`HetschedError::InvalidConfig`] when the configuration is
     /// invalid, when the policy count does not match the dispatcher
     /// count, when there are fewer servers than shards, when
-    /// `sim_threads` is zero, or for a tier pairing [`check_tier`]
-    /// refuses.
+    /// `sim_threads` is zero, or for a tier pairing
+    /// [`check_tier`](crate::check_tier) refuses.
     pub fn new(
         mut cfg: ClusterConfig,
         policies: Vec<P>,
         seed: u64,
         sim_threads: usize,
     ) -> Result<Self, HetschedError> {
-        cfg.normalize_fleet();
-        cfg.validate()?;
-        let d = cfg.dispatch.dispatchers.max(1);
-        if policies.len() != d {
-            return Err(HetschedError::InvalidConfig(format!(
-                "parallel engine needs one policy per shard: got {} policies for {} shards",
-                policies.len(),
-                d
-            )));
-        }
+        prepare(&mut cfg, &policies)?;
+        let d = cfg.dispatch.dispatchers;
         if cfg.speeds.len() < d {
             return Err(HetschedError::InvalidConfig(format!(
                 "parallel engine needs at least one server per shard: {} servers, {} shards",
@@ -440,7 +431,6 @@ impl<P: Policy> ParallelSimulation<P> {
                 "sim_threads must be ≥ 1".into(),
             ));
         }
-        check_tier(&cfg, &policies)?;
         Ok(ParallelSimulation {
             cfg,
             policies,
@@ -504,11 +494,8 @@ impl<P: Policy> ParallelSimulation<P> {
                     chan_base: crate::channel::CHANNEL_STREAM_BASE + 16 + 4 * s as u64,
                 }
             };
-            let trace = cfg
-                .trace
-                .map(|spec| TraceCollector::new(spec).expect("trace spec validated"));
             let feed = ShardFeed::new(s, Arc::clone(&generator));
-            let mut model = Model::build(&sub, vec![policy], seed, trace, Some(feed), streams);
+            let mut model = Model::build(&sub, vec![policy], seed, Some(feed), streams);
             if d > 1 {
                 model.keep_obs_windows();
             }
@@ -632,7 +619,7 @@ impl<P: Policy> ParallelSimulation<P> {
                 (rt.model, events, rt.engine.fel_stats())
             })
             .collect();
-        let stats = finalize(cfg.horizon, parts);
+        let stats = finalize(&cfg, parts);
         let merge_s = t_merge.elapsed().as_secs_f64();
         let timing = PdesTiming {
             pregen_s,
