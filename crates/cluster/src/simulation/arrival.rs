@@ -381,6 +381,6 @@ impl<P: Policy> Model<P> {
             policy.merge_sync(merged, now);
             applied = true;
         }
-        self.tally.window.syncs_applied += u64::from(applied);
+        self.tally.window.sync_rounds.push(applied);
     }
 }

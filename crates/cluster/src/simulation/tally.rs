@@ -22,8 +22,9 @@ pub(super) struct Window {
     pub(super) jobs_lost: u64,
     pub(super) jobs_resubmitted: u64,
     pub(super) jobs_restarted: u64,
-    /// Sync rounds at least one shard merged.
-    pub(super) syncs_applied: u64,
+    /// One entry per sync round: whether at least one of the model's
+    /// shards merged it.
+    pub(super) sync_rounds: Vec<bool>,
     pub(super) msgs_lost: u64,
     pub(super) retries: u64,
     pub(super) timeouts: u64,
@@ -47,10 +48,14 @@ impl Window {
         }
     }
 
-    /// Adds the next model's counters. The sync count is the exception:
-    /// every shard applies the same consensus sequence, so the first
-    /// model's count speaks for the tier.
+    /// Adds the next model's counters. Every model sees the same sync
+    /// rounds, and a round counts as applied when any model merged it:
+    /// a lossy sync plane drops each shard's copy independently.
     fn absorb(&mut self, other: &Window) {
+        debug_assert_eq!(self.sync_rounds.len(), other.sync_rounds.len());
+        for (applied, theirs) in self.sync_rounds.iter_mut().zip(&other.sync_rounds) {
+            *applied |= theirs;
+        }
         self.jobs_lost += other.jobs_lost;
         self.jobs_resubmitted += other.jobs_resubmitted;
         self.jobs_restarted += other.jobs_restarted;
@@ -431,7 +436,11 @@ pub(crate) fn finalize<P: Policy>(
         mean_degraded_response_ratio: window.degraded_ratio.mean(),
         obs,
         shards,
-        syncs_applied: window.syncs_applied,
+        syncs_applied: window
+            .sync_rounds
+            .iter()
+            .filter(|&&applied| applied)
+            .count() as u64,
         msgs_lost: window.msgs_lost,
         retries: window.retries,
         timeouts: window.timeouts,

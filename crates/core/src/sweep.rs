@@ -21,9 +21,8 @@
 //! module.
 //!
 //! The pool also instruments itself: [`SweepStats`] records simulated
-//! events per wall-clock second and per-point busy time, giving the repo
-//! a machine-readable performance trajectory (`BENCH_sweep.json` in the
-//! bench harness).
+//! events per wall-clock second and per-point busy time; the bench
+//! harness archives them as the `sweep` object of every figure archive.
 
 use std::time::Instant;
 

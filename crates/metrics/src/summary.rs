@@ -54,21 +54,6 @@ impl CiSummary {
             half_width: 0.0,
         }
     }
-
-    /// Lower bound of the interval.
-    pub fn lo(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    /// Upper bound of the interval.
-    pub fn hi(&self) -> f64 {
-        self.mean + self.half_width
-    }
-
-    /// Whether the interval contains `x`.
-    pub fn contains(&self, x: f64) -> bool {
-        x >= self.lo() && x <= self.hi()
-    }
 }
 
 impl std::fmt::Display for CiSummary {
@@ -86,7 +71,7 @@ mod tests {
         let ci = CiSummary::from_values(&[5.0]);
         assert_eq!(ci.mean, 5.0);
         assert_eq!(ci.half_width, 0.0);
-        assert!(ci.contains(5.0));
+        assert!(ci.mean - ci.half_width <= 5.0 && 5.0 <= ci.mean + ci.half_width);
     }
 
     #[test]
@@ -109,10 +94,11 @@ mod tests {
             mean: 10.0,
             half_width: 2.0,
         };
-        assert_eq!(ci.lo(), 8.0);
-        assert_eq!(ci.hi(), 12.0);
-        assert!(ci.contains(9.0));
-        assert!(!ci.contains(12.5));
+        let (lo, hi) = (ci.mean - ci.half_width, ci.mean + ci.half_width);
+        assert_eq!(lo, 8.0);
+        assert_eq!(hi, 12.0);
+        assert!((lo..=hi).contains(&9.0));
+        assert!(!(lo..=hi).contains(&12.5));
     }
 
     #[test]

@@ -76,8 +76,9 @@ impl LeastLoadPolicy {
         }
     }
 
-    /// Current believed queue lengths (diagnostics).
-    pub fn believed(&self) -> &[f64] {
+    /// Current believed queue lengths, for the tests.
+    #[cfg(test)]
+    fn believed(&self) -> &[f64] {
         &self.believed
     }
 
@@ -316,8 +317,9 @@ impl StaleAwareLeastLoad {
         }
     }
 
-    /// Current believed queue lengths (diagnostics).
-    pub fn believed(&self) -> &[f64] {
+    /// Current believed queue lengths, for the tests.
+    #[cfg(test)]
+    fn believed(&self) -> &[f64] {
         &self.believed
     }
 }

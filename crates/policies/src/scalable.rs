@@ -162,11 +162,6 @@ impl PowerOfD {
             rng: None,
         }
     }
-
-    /// Current believed queue lengths (diagnostics).
-    pub fn believed(&self) -> &[f64] {
-        &self.believed
-    }
 }
 
 impl Policy for PowerOfD {
@@ -292,11 +287,6 @@ impl Jiq {
             on_stack: vec![true; n],
             rng: None,
         }
-    }
-
-    /// Current believed queue lengths (diagnostics).
-    pub fn believed(&self) -> &[f64] {
-        &self.believed
     }
 
     fn push_idle(&mut self, i: usize) {

@@ -22,7 +22,6 @@
 //! response ratio.
 
 use crate::system::HetSystem;
-use hetsched_error::HetschedError;
 
 /// Evaluates the objective `F(α…) = Σ s_iμ / (s_iμ − α_iλ)`.
 ///
@@ -46,44 +45,20 @@ pub fn objective_f(sys: &HetSystem, alphas: &[f64]) -> Option<f64> {
 
 /// The minimum of `F` when machines `1..=m` (ascending speed order, 0 ≤ m)
 /// are cut off to zero: each contributes 1, and Theorem 1 applies to the
-/// remainder.
+/// remainder. The tests' oracle for the cut-off allocation.
 ///
 /// `sorted_speeds` must be ascending.
 ///
 /// # Panics
 /// Panics if every machine is cut off or the remainder is saturated.
-/// Use [`try_cutoff_min_value`] for a panic-free variant.
-pub fn cutoff_min_value(sorted_speeds: &[f64], mu: f64, lambda: f64, m: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn cutoff_min_value(sorted_speeds: &[f64], mu: f64, lambda: f64, m: usize) -> f64 {
     assert!(m < sorted_speeds.len(), "cannot cut off every machine");
     let rest = &sorted_speeds[m..];
     let cap: f64 = rest.iter().sum::<f64>() * mu;
     assert!(lambda < cap, "remaining machines saturated");
     let sqrt_sum: f64 = rest.iter().map(|&s| (s * mu).sqrt()).sum();
     m as f64 + sqrt_sum * sqrt_sum / (cap - lambda)
-}
-
-/// Panic-free variant of [`cutoff_min_value`].
-///
-/// # Errors
-/// * [`HetschedError::NoComputers`] — `m` cuts off every machine (the
-///   all-servers-failed subset);
-/// * [`HetschedError::Saturated`] — the surviving machines cannot absorb
-///   `λ`.
-pub fn try_cutoff_min_value(
-    sorted_speeds: &[f64],
-    mu: f64,
-    lambda: f64,
-    m: usize,
-) -> Result<f64, HetschedError> {
-    if m >= sorted_speeds.len() {
-        return Err(HetschedError::NoComputers);
-    }
-    let rest = &sorted_speeds[m..];
-    let cap: f64 = rest.iter().sum::<f64>() * mu;
-    if lambda >= cap {
-        return Err(HetschedError::Saturated);
-    }
-    Ok(cutoff_min_value(sorted_speeds, mu, lambda, m))
 }
 
 /// System mean response time for an allocation (eq. 3):
@@ -257,16 +232,8 @@ mod tests {
     }
 
     #[test]
-    fn try_cutoff_reports_degenerate_subsets() {
-        assert_eq!(
-            try_cutoff_min_value(&[1.0], 1.0, 0.5, 1),
-            Err(HetschedError::NoComputers)
-        );
-        assert_eq!(
-            try_cutoff_min_value(&[1.0, 2.0], 1.0, 2.5, 1),
-            Err(HetschedError::Saturated)
-        );
-        let ok = try_cutoff_min_value(&[1.0, 2.0, 4.0], 1.0, 2.0, 1).unwrap();
-        assert_eq!(ok, cutoff_min_value(&[1.0, 2.0, 4.0], 1.0, 2.0, 1));
+    #[should_panic(expected = "remaining machines saturated")]
+    fn cutoff_rejects_a_saturated_remainder() {
+        cutoff_min_value(&[1.0, 2.0], 1.0, 2.5, 1);
     }
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Full-fidelity reproduction: every table and figure at the paper's
-# horizon (4e6 s) and replication count (10). Results land in results/.
+# Full-fidelity reproduction: every paper table and figure at the paper's
+# horizon (4e6 s) and replication count (10). Results land in results/:
+# each figure's printout (.txt), stderr (.log) and archive (.json).
 #
 # The ablations run at reduced fidelity by design:
 #   * ablation_discipline includes a 10 ms round-robin quantum, which
@@ -10,21 +11,21 @@
 #     horizon with 5 replications resolves them comfortably.
 set -e
 cd "$(dirname "$0")"
+cargo build --release -p hetsched-bench
+bench=./target/release/hetsched-bench
 mkdir -p results
-for bin in table1 table2 table3 fig2 fig3 fig4 fig5 fig6; do
-    echo "=== $bin (--full) ==="
-    ./target/release/$bin --full --json "results/$bin.json" > "results/$bin.txt" 2> "results/$bin.log"
-    echo "    done: results/$bin.txt"
+run() {
+    fig=$1
+    shift
+    echo "=== $fig ($*) ==="
+    $bench "$fig" "$@" --json "results/$fig.json" > "results/$fig.txt" 2> "results/$fig.log"
+    echo "    done: results/$fig.txt"
+}
+for fig in table1 table2 table3 fig2 fig3 fig4 fig5 fig6; do
+    run $fig --full
 done
-echo "=== ablation_discipline (--scale 0.05) ==="
-./target/release/ablation_discipline --scale 0.05 --reps 5 \
-    --json results/ablation_discipline.json \
-    > results/ablation_discipline.txt 2> results/ablation_discipline.log
-echo "    done: results/ablation_discipline.txt"
-for bin in ablation_sizes ablation_burstiness ablation_dispatcher extra_baselines; do
-    echo "=== $bin (--scale 0.5) ==="
-    ./target/release/$bin --scale 0.5 --reps 5 --json "results/$bin.json" \
-        > "results/$bin.txt" 2> "results/$bin.log"
-    echo "    done: results/$bin.txt"
+run ablation_discipline --scale 0.05 --reps 5
+for fig in ablation_sizes ablation_burstiness ablation_dispatcher extra_baselines; do
+    run $fig --scale 0.5 --reps 5
 done
 echo ALL_DONE

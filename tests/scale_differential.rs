@@ -13,7 +13,7 @@
 //!   leftmost-minimum rule every scan policy uses) after arbitrary
 //!   update/decay/membership sequences, checked by a property test.
 
-use hetsched::cluster::{ArgminTree, Policy, Simulation};
+use hetsched::cluster::{ArgminTree, FleetGroup, Policy, Simulation};
 use hetsched::desim::check::cases;
 use hetsched::policies::{JsqScan, LeastLoadScan};
 use hetsched::prelude::*;
@@ -30,6 +30,24 @@ fn base_cfg(faults: bool) -> ClusterConfig {
             FaultSpec::exponential(3_000.0, 300.0).with_semantics(JobFaultSemantics::Resubmit),
         );
     }
+    cfg
+}
+
+/// The scale axis's four-tier fleet of `n` servers (50% at speed 1, 30%
+/// at 2, 10% at 5, 10% at 10, the paper's skew at scale) with a short
+/// horizon of about 4,700 arrivals.
+fn fleet_cfg(n: usize) -> ClusterConfig {
+    let (slow, mid, fast) = (n / 2, 3 * n / 10, n / 10);
+    let groups = [
+        (slow, 1.0),
+        (mid, 2.0),
+        (fast, 5.0),
+        (n - slow - mid - fast, 10.0),
+    ]
+    .map(|(count, speed)| FleetGroup { count, speed });
+    let mut cfg = ClusterConfig::paper_default_fleet(&groups);
+    cfg.horizon = 200_000.0 / n as f64;
+    cfg.warmup = cfg.horizon / 10.0;
     cfg
 }
 
@@ -84,7 +102,8 @@ fn assert_pair(cfg: &ClusterConfig, (spec, scan): Pair, sim_threads: usize, seed
 }
 
 /// Every pair is bit-identical across seeds × faults on the classic
-/// sequential engine.
+/// sequential engine, and on the scale axis's fleets of 1,000 and
+/// 10,000 servers.
 #[test]
 fn indexed_policies_match_scans_on_classic_engine() {
     for faults in [false, true] {
@@ -93,6 +112,11 @@ fn indexed_policies_match_scans_on_classic_engine() {
             for seed in [11u64, 12, 13] {
                 assert_pair(&cfg, pair, 0, seed);
             }
+        }
+    }
+    for n in [1_000, 10_000] {
+        for pair in pairs() {
+            assert_pair(&fleet_cfg(n), pair, 0, 11);
         }
     }
 }

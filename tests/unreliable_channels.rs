@@ -200,3 +200,34 @@ fn stale_aware_policy_counts_decisions_under_blackout() {
         r.jobs_finished + r.jobs_lost + r.jobs_in_flight
     );
 }
+
+/// A lossy sync plane drops each parallel shard's copy of a round on its
+/// own, so `syncs_applied` counts the rounds at least one shard merged,
+/// as the classic engine counts them. This run's window holds 28 rounds
+/// (one per 500 s from 1,500 s to 15,000 s); at loss 0.5 the two shards
+/// merge 14 and 12 of them, and 19 have at least one merge.
+#[test]
+fn lossy_sync_counts_rounds_any_parallel_shard_merged() {
+    use hetsched::cluster::pdes::{shard_config, shard_ranges};
+    let run = |sync_loss: f64| {
+        let mut cfg = ClusterConfig::paper_default(&[5.0, 3.0, 2.0, 1.5, 1.0, 1.0, 1.0, 1.0]);
+        cfg.horizon = 15_000.0;
+        cfg.warmup = 1_500.0;
+        cfg.dispatch =
+            DispatchSpec::sharded(2, SplitterSpec::IidRandom).with_sync(SyncSpec::every(500.0));
+        let mut channels = ChannelSpec::reliable();
+        channels.sync.loss = sync_loss;
+        cfg.channels = Some(channels);
+        let policies = shard_ranges(cfg.speeds.len(), 2)
+            .iter()
+            .map(|r| PolicySpec::wrr().build(&shard_config(&cfg, r)))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("WRR builds per shard");
+        ParallelSimulation::new(cfg, policies, 7, 2)
+            .expect("valid run")
+            .run()
+            .syncs_applied
+    };
+    assert_eq!(run(0.0), 28, "a reliable plane applies every round");
+    assert_eq!(run(0.5), 19, "rounds at least one of the two shards merged");
+}
