@@ -889,15 +889,6 @@ fn skewed_fleet() -> ClusterConfig {
     ClusterConfig::paper_default(&[5.0, 3.0, 2.0, 1.5, 1.0, 1.0, 1.0, 1.0])
 }
 
-/// A cell pinned to the classic engine: the parallel engine partitions
-/// the fleet among a `D > 1` tier's shards, a different model.
-fn classic(label: String, cfg: ClusterConfig, policy: PolicySpec) -> Cell {
-    Cell {
-        sim_threads: Some(0),
-        ..Cell::new(label, cfg, policy)
-    }
-}
-
 /// Dispatch-tier degradation: the global stream split i.i.d.-randomly
 /// across `D ∈ {1, 2, 4, 8, 16}` dispatchers, each running ORR.
 ///
@@ -931,7 +922,7 @@ fn fig_dispatch(scale: f64) -> Figure {
                 cfg.dispatch.coordination = co;
                 cfg.dispatch.sync = sync.map(|iv| SyncSpec::every(iv).with_latency(5.0));
                 let l = label(d, co, sync_label);
-                fig.cells.push(classic(l.clone(), cfg, PolicySpec::orr()));
+                fig.cells.push(Cell::new(l.clone(), cfg, PolicySpec::orr()));
                 let mut row = vec![num(c(d as f64), plain), text(co.label()), text(sync_label)];
                 row.extend([ci(&l, RATIO), num(change(&l, &base, RATIO), signed_pct2)]);
                 row.extend(stats(&l, &[("syncs_applied", f0), ("max_share_dev", f4)]));
@@ -1011,7 +1002,7 @@ fn dispatch_faults(mut fig: Figure, scale: f64) -> Figure {
         ));
         row.push(num(change(label, "no fault", RATIO), signed_pct1));
         rows.push(row);
-        fig.cells.push(classic(label.to_string(), cfg, policy));
+        fig.cells.push(Cell::new(label, cfg, policy));
     }
     fig.table(
         "Dispatch x faults: kill the fastest machine under source-hash splitting",
@@ -1292,7 +1283,7 @@ fn fig_scale(scale: f64) -> Figure {
             let l = format!("robust N={n} {}", policy.label());
             fig.cells.push(Cell {
                 reps: Some(1),
-                sim_threads: Some(2),
+                sim_threads: 2,
                 ..Cell::new(&l, cfg.clone(), policy)
             });
             robust_rows.push(vec![

@@ -32,13 +32,8 @@ pub struct Mode {
     pub scale: f64,
     /// `--reps N`: replications per cell (the paper uses 10).
     pub reps: u64,
-    /// `--threads N`: worker threads for the sweep pool (0 = auto; the
-    /// `HETSCHED_THREADS` environment variable sets the default).
+    /// `--threads N`: worker threads for the sweep pool (0 = auto).
     pub threads: usize,
-    /// `--sim-threads N`: parallel-engine worker threads per run of every
-    /// cell that does not fix its engine (0 = the classic engine). Those
-    /// cells have one dispatcher, where the two engines are bit-identical.
-    pub sim_threads: usize,
     /// `--json PATH`: where [`run`] writes the figure's archive.
     pub json: Option<PathBuf>,
     /// `--obs PATH`: enable run-level observability (120 s windows) on
@@ -53,7 +48,6 @@ impl Default for Mode {
             scale: 0.25,
             reps: 5,
             threads: 0,
-            sim_threads: 0,
             json: None,
             obs: None,
         }
@@ -62,23 +56,13 @@ impl Default for Mode {
 
 impl Mode {
     /// Parses flags from an iterator of arguments (the ones after the
-    /// figure name), with `env_threads` supplying the
-    /// `HETSCHED_THREADS` default that `--threads` overrides.
+    /// figure name).
     ///
     /// # Panics
     /// Panics with a usage message on unknown flags or malformed values —
     /// appropriate for a CLI entry point.
-    pub fn parse_with_env(
-        args: impl IntoIterator<Item = String>,
-        env_threads: Option<&str>,
-    ) -> Mode {
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Mode {
         let mut mode = Mode::default();
-        if let Some(v) = env_threads {
-            mode.threads = v
-                .trim()
-                .parse()
-                .expect("HETSCHED_THREADS must be a thread count (0 = auto)");
-        }
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             let mut value = || it.next().unwrap_or_else(|| panic!("{arg} needs a value"));
@@ -92,16 +76,11 @@ impl Mode {
                         .parse()
                         .expect("--threads needs an integer (0 = auto)");
                 }
-                "--sim-threads" => {
-                    mode.sim_threads = value()
-                        .parse()
-                        .expect("--sim-threads needs an integer (0 = classic engine)");
-                }
                 "--json" => mode.json = Some(PathBuf::from(value())),
                 "--obs" => mode.obs = Some(PathBuf::from(value())),
                 other => panic!(
                     "unknown flag {other}; use --full | --quick | --scale X | --reps N | \
-                     --threads N | --sim-threads N | --json PATH | --obs PATH"
+                     --threads N | --json PATH | --obs PATH"
                 ),
             }
         }
@@ -111,11 +90,6 @@ impl Mode {
         );
         assert!(mode.reps >= 1, "need at least one replication");
         mode
-    }
-
-    /// Parses flags without consulting the environment.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Mode {
-        Mode::parse_with_env(args, None)
     }
 
     /// Runs `cells` at this fidelity through **one** sweep pool — no
@@ -135,7 +109,7 @@ impl Mode {
                 let mut exp = Experiment::new(cell.label.clone(), cfg, cell.policy)
                     .quick(self.scale, cell.reps.unwrap_or(self.reps));
                 exp.threads = self.threads;
-                exp.sim_threads = cell.sim_threads.unwrap_or(self.sim_threads);
+                exp.sim_threads = cell.sim_threads;
                 exp
             })
             .collect();
@@ -173,22 +147,23 @@ pub struct Cell {
     pub policy: PolicySpec,
     /// Replications, when the cell fixes them (`None` follows the mode).
     pub reps: Option<u64>,
-    /// The engine, when the cell fixes it: 0 is the classic engine,
-    /// `n ≥ 1` the parallel one on `n` threads (`None` follows
-    /// `--sim-threads`). A `D > 1` cell fixes it, because the two
-    /// engines model a sharded tier differently.
-    pub sim_threads: Option<usize>,
+    /// The engine: 0 (the default) is the classic engine, `n ≥ 1` the
+    /// parallel one on `n` threads. For `D > 1` the two engines model a
+    /// sharded tier differently; with one dispatcher they are
+    /// bit-identical.
+    pub sim_threads: usize,
 }
 
 impl Cell {
-    /// A cell that follows the mode's replications and engine.
+    /// A cell on the classic engine that follows the mode's
+    /// replications.
     pub fn new(label: impl Into<String>, cfg: ClusterConfig, policy: PolicySpec) -> Self {
         Cell {
             label: label.into(),
             cfg,
             policy,
             reps: None,
-            sim_threads: None,
+            sim_threads: 0,
         }
     }
 }
@@ -744,23 +719,8 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_and_env() {
+    fn threads_flag() {
         assert_eq!(parse(&["--threads", "7"]).threads, 7);
-        assert_eq!(parse(&["--sim-threads", "4"]).sim_threads, 4);
-        // The environment supplies the default …
-        assert_eq!(
-            Mode::parse_with_env(std::iter::empty(), Some("4")).threads,
-            4
-        );
-        // … and the flag overrides it.
-        let m = Mode::parse_with_env(["--threads".to_string(), "2".to_string()], Some("4"));
-        assert_eq!(m.threads, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "HETSCHED_THREADS")]
-    fn rejects_bad_env_threads() {
-        Mode::parse_with_env(std::iter::empty(), Some("lots"));
     }
 
     #[test]
@@ -779,14 +739,6 @@ mod tests {
         let mut cfg = ClusterConfig::paper_default(&[1.0, 2.0]);
         cfg.job_sizes = DistSpec::Exponential { mean: 10.0 };
         cfg
-    }
-
-    #[test]
-    fn sim_threads_is_bit_identical_for_one_dispatcher() {
-        let cells = [Cell::new("p", tiny(), PolicySpec::orr())];
-        let (classic, _) = parse(&["--quick"]).run_cells(&cells);
-        let (pdes, _) = parse(&["--quick", "--sim-threads", "2"]).run_cells(&cells);
-        assert_eq!(classic, pdes);
     }
 
     #[test]
@@ -953,7 +905,7 @@ mod tests {
                     let what = format!("{name} / {} at scale {scale}", cell.label);
                     cfg.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
                     let d = cfg.dispatch.dispatchers.max(1);
-                    let built = match cell.sim_threads.unwrap_or(0) {
+                    let built = match cell.sim_threads {
                         0 => (0..d)
                             .map(|_| cell.policy.build(&cfg))
                             .collect::<Result<Vec<_>, _>>(),
@@ -963,7 +915,7 @@ mod tests {
                             .collect(),
                     };
                     let policies = built.unwrap_or_else(|e| panic!("{what}: {e}"));
-                    let engine = match cell.sim_threads.unwrap_or(0) {
+                    let engine = match cell.sim_threads {
                         0 => Simulation::with_policies(cfg, policies, 1).map(drop),
                         n => ParallelSimulation::new(cfg, policies, 1, n).map(drop),
                     };
@@ -992,7 +944,7 @@ mod tests {
             .collect();
         assert!(syncs.len() >= 2, "need >= 2 sync settings");
         assert!(
-            cells.iter().all(|c| c.sim_threads == Some(0)),
+            cells.iter().all(|c| c.sim_threads == 0),
             "pinned to the classic engine"
         );
     }
@@ -1025,7 +977,7 @@ mod tests {
     fn scale_axis_spans_four_decades() {
         assert_eq!(figures::FLEET_SIZES, [10, 100, 1000, 10_000]);
         let cells = figure("fig_scale").cells;
-        let robust: Vec<&Cell> = cells.iter().filter(|c| c.sim_threads == Some(2)).collect();
+        let robust: Vec<&Cell> = cells.iter().filter(|c| c.sim_threads == 2).collect();
         assert_eq!(robust.len(), 2 * figures::FLEET_SIZES.len());
         assert!(robust
             .iter()

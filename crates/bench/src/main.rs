@@ -7,12 +7,11 @@ use hetsched_bench::{figures, run, Mode};
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_default();
-    let env_threads = std::env::var("HETSCHED_THREADS").ok();
-    let mode = Mode::parse_with_env(args, env_threads.as_deref());
+    let mode = Mode::parse(args);
     let Some(figure) = figures::declare(&name, mode.scale) else {
         eprintln!(
             "usage: hetsched-bench <figure> [--full | --quick | --scale X | --reps N | \
-             --threads N | --sim-threads N | --json PATH | --obs PATH]\nfigures: {}",
+             --threads N | --json PATH | --obs PATH]\nfigures: {}",
             figures::FIGURES.map(|f| f.0).join(" ")
         );
         std::process::exit(2);

@@ -641,7 +641,7 @@ mod tests {
         json.as_object_mut().unwrap().remove("dispatch");
         let back: ClusterConfig = hetsched_json::Json::from_json(&json).unwrap();
         assert_eq!(back, cfg);
-        assert!(back.dispatch.is_trivial());
+        assert!(back.dispatch.dispatchers == 1 && back.dispatch.sync.is_none());
     }
 
     #[test]

@@ -38,6 +38,13 @@ use hetsched_error::HetschedError;
 /// `remaining -= rate · dt` arithmetic can leave an O(ulp) residue.
 const FINISH_RTOL: f64 = 1e-9;
 
+/// RNG stream of the class stamper ([`MalleableSpec::stamp`]), far
+/// above every other stream family (classic 0–3, faults `4 + i`,
+/// splitter `1 << 40`, PDES shards `1 << 41`, channels `1 << 42`). Only
+/// constructed for an *active* section, so all-rigid runs draw nothing
+/// from it.
+pub(crate) const MALLEABLE_STREAM: u64 = 1 << 43;
+
 /// One malleable job class: a speedup curve plus its share of the
 /// malleable arrival stream.
 #[derive(Debug, Clone, PartialEq)]

@@ -24,7 +24,8 @@
 //! 1. **Streamed arrivals from one generator.** One generator, shared
 //!    by every shard, draws the arrival, size, class-stamp and splitter
 //!    streams in the exact per-stream order the live single-kernel path
-//!    draws them (each stream is an independent [`Rng64`], so
+//!    draws them (the first three through the same `ArrivalDraw`; each
+//!    stream is an independent [`Rng64`](hetsched_desim::Rng64), so
 //!    per-stream order is all that matters) and appends each arrival to
 //!    its shard's queue. A shard that runs out takes its whole queue
 //!    under one lock, drawing more first if the queue is empty. Draws
@@ -87,16 +88,14 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use hetsched_desim::{Engine, Rng64, SimTime};
+use hetsched_desim::{Engine, SimTime};
 use hetsched_dispatch::{Coordination, DispatchSpec, Splitter, SyncExchange};
-use hetsched_dist::{ArrivalProcess, BuiltDist, Sample};
 use hetsched_error::HetschedError;
 
-use crate::config::{ArrivalKind, ClusterConfig};
-use crate::malleable::MalleableSpec;
+use crate::config::ClusterConfig;
 use crate::policy::Policy;
 use crate::results::RunStats;
-use crate::simulation::{finalize, prepare, Ev, Model, StreamPlan, MALLEABLE_STREAM};
+use crate::simulation::{finalize, prepare, ArrivalDraw, Ev, Model, StreamPlan};
 
 /// Base RNG stream index for per-shard dispatch/network streams.
 ///
@@ -185,15 +184,11 @@ const WINDOW_ARRIVALS: f64 = 4096.0;
 /// (the invariant the live path keeps). It carries an unsampled size of
 /// `0.0`.
 struct ArrivalGenerator {
-    arrivals: ArrivalKind,
-    sizes: BuiltDist,
+    /// The gap, size and class draws, made in global arrival order, so
+    /// shard feeds see exactly what the classic single-kernel path
+    /// draws.
+    stream: ArrivalDraw,
     splitter: Splitter,
-    rng_arrival: Rng64,
-    rng_size: Rng64,
-    /// The class stamper and its stream. Classes are stamped in global
-    /// arrival order here, so shard feeds see exactly the stamps the
-    /// classic single-kernel path draws.
-    stamping: Option<(MalleableSpec, Rng64)>,
     horizon: f64,
     /// Time of the last arrival drawn.
     t: SimTime,
@@ -212,16 +207,8 @@ struct ArrivalGenerator {
 impl ArrivalGenerator {
     fn new(cfg: &ClusterConfig, seed: u64) -> Self {
         ArrivalGenerator {
-            arrivals: cfg.arrivals.build(cfg.lambda()),
-            sizes: cfg.job_sizes.build(),
+            stream: ArrivalDraw::new(cfg, seed),
             splitter: Splitter::new(&cfg.dispatch, seed),
-            rng_arrival: Rng64::stream(seed, 0),
-            rng_size: Rng64::stream(seed, 1),
-            stamping: cfg
-                .malleable
-                .clone()
-                .filter(|m| m.active())
-                .map(|spec| (spec, Rng64::stream(seed, MALLEABLE_STREAM))),
             horizon: cfg.horizon,
             t: SimTime::ZERO,
             ended: false,
@@ -235,8 +222,7 @@ impl ArrivalGenerator {
     /// Draws the next global arrival onto its shard's queue, or the
     /// sentinel onto every queue.
     fn draw(&mut self) {
-        let gap = self.arrivals.next_interarrival(&mut self.rng_arrival);
-        self.t = self.t.after(gap);
+        self.t = self.t.after(self.stream.gap());
         let t = self.t.as_secs();
         if t > self.horizon {
             for queue in &mut self.queues {
@@ -246,11 +232,7 @@ impl ArrivalGenerator {
             self.ended = true;
             return;
         }
-        let size = self.sizes.sample(&mut self.rng_size);
-        let class = match &mut self.stamping {
-            Some((spec, rng)) => spec.stamp(rng.next_f64()),
-            None => 0,
-        };
+        let (size, class) = self.stream.job();
         self.queues[self.splitter.route()].push((t, size, class));
         self.queued += 1;
     }
@@ -636,9 +618,12 @@ mod tests {
     use super::*;
     use crate::config::ArrivalSpec;
     use crate::config::ClusterConfig;
+    use crate::malleable::{MalleableSpec, MALLEABLE_STREAM};
     use crate::policy::DispatchCtx;
     use crate::Simulation;
+    use hetsched_desim::Rng64;
     use hetsched_dispatch::{SplitterSpec, SyncSpec, SyncState};
+    use hetsched_dist::{ArrivalProcess, Sample};
 
     /// A deterministic policy with mergeable state, so the sync plane
     /// has something to exchange.

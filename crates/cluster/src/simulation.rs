@@ -83,6 +83,7 @@
 
 use std::collections::VecDeque;
 
+use hetsched_desim::slab::Key;
 use hetsched_desim::{Actor, Engine, Rng64, Scheduler, SimTime};
 use hetsched_dispatch::SyncState;
 use hetsched_error::HetschedError;
@@ -102,8 +103,8 @@ mod tally;
 mod tier;
 mod transfer;
 
+pub(crate) use arrival::ArrivalDraw;
 use arrival::Front;
-pub(crate) use arrival::MALLEABLE_STREAM;
 use membership::Faults;
 pub(crate) use tally::finalize;
 use tally::Tally;
@@ -146,10 +147,8 @@ pub(crate) enum Ev {
     /// scheduled with an unreliable channel layer; a copy whose
     /// transfer has already resolved is dropped as an orphan).
     DispatchDeliver {
-        /// Transfer slot.
-        tx: u32,
-        /// Transfer generation (stale = orphan copy).
-        gen: u32,
+        /// The transfer (a stale key is an orphan copy).
+        tx: Key,
         /// Server this copy was addressed to.
         target: usize,
         /// Whether the copy is the hedge duplicate.
@@ -158,18 +157,14 @@ pub(crate) enum Ev {
     /// The ack timeout of an in-flight transfer expires (the slot's
     /// retry timer).
     RetryTimer {
-        /// Transfer slot.
-        tx: u32,
-        /// Transfer generation.
-        gen: u32,
+        /// The transfer.
+        tx: Key,
     },
     /// The hedge delay of a still-unacked transfer expires (the slot's
     /// hedge timer).
     HedgeTimer {
-        /// Transfer slot.
-        tx: u32,
-        /// Transfer generation.
-        gen: u32,
+        /// The transfer.
+        tx: Key,
     },
     /// The malleable allocation tier's next completion on a shard (only
     /// armed when an active [`ClusterConfig::malleable`] section is
@@ -471,14 +466,11 @@ impl<P: Policy> Actor<Ev> for Model<P> {
                     .expect("sync apply without pending consensus");
                 self.apply_sync(&merged, t);
             }
-            Ev::DispatchDeliver {
-                tx,
-                gen,
-                target,
-                hedged,
-            } => self.deliver_dispatch(tx, gen, target, hedged, t, sched),
-            Ev::RetryTimer { tx, gen } => self.handle_retry_timer(tx, gen, t, sched),
-            Ev::HedgeTimer { tx, gen } => self.handle_hedge_timer(tx, gen, t, sched),
+            Ev::DispatchDeliver { tx, target, hedged } => {
+                self.deliver_dispatch(tx, target, hedged, t, sched)
+            }
+            Ev::RetryTimer { tx } => self.handle_retry_timer(tx, t, sched),
+            Ev::HedgeTimer { tx } => self.handle_hedge_timer(tx, t, sched),
             Ev::TierWake { shard } => self.retier(shard, None, t, sched),
         }
     }

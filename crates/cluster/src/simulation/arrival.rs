@@ -12,15 +12,9 @@ use super::transfer::Transfer;
 use super::{Ev, Model};
 use crate::config::{ArrivalKind, ClusterConfig};
 use crate::job::{JobId, JobRecord};
-use crate::malleable::MalleableSpec;
+use crate::malleable::{MalleableSpec, MALLEABLE_STREAM};
 use crate::pdes::ShardFeed;
 use crate::policy::{DispatchCtx, Policy};
-
-/// RNG stream of the malleable class stamper, far above every other
-/// stream family (classic 0–3, faults `4 + i`, splitter `1 << 40`, PDES
-/// shards `1 << 41`, channels `1 << 42`). Only constructed for an
-/// *active* malleable section, so all-rigid runs draw nothing from it.
-pub(crate) const MALLEABLE_STREAM: u64 = 1 << 43;
 
 /// Runtime state of the coordinated (phase-preserving) dispatch tier.
 ///
@@ -47,6 +41,63 @@ pub(super) struct CoordState {
     seen: Vec<u64>,
 }
 
+/// The arrival stream's draws, shared by both engines: the arrival
+/// process on stream 0, the size distribution on stream 1 and, for an
+/// active malleable section, the class stamper on [`MALLEABLE_STREAM`].
+/// Per arrival the gap to the next one is drawn first, then the job's
+/// size, then its class. The classic engine draws inline as each
+/// arrival fires; the parallel engine's generator draws ahead of its
+/// shards.
+pub(crate) struct ArrivalDraw {
+    arrivals: ArrivalKind,
+    sizes: BuiltDist,
+    rng_arrival: Rng64,
+    rng_size: Rng64,
+    /// The active malleable section and its stamper's stream; an absent
+    /// or all-rigid section builds none and stamps every job rigid.
+    stamper: Option<(MalleableSpec, Rng64)>,
+}
+
+impl ArrivalDraw {
+    pub(crate) fn new(cfg: &ClusterConfig, seed: u64) -> Self {
+        ArrivalDraw {
+            arrivals: cfg.arrivals.build(cfg.lambda()),
+            sizes: cfg.job_sizes.build(),
+            rng_arrival: Rng64::stream(seed, 0),
+            rng_size: Rng64::stream(seed, 1),
+            stamper: (cfg.malleable.clone())
+                .filter(|m| m.active())
+                .map(|spec| (spec, Rng64::stream(seed, MALLEABLE_STREAM))),
+        }
+    }
+
+    /// The gap to the next arrival.
+    #[inline]
+    pub(crate) fn gap(&mut self) -> f64 {
+        self.arrivals.next_interarrival(&mut self.rng_arrival)
+    }
+
+    /// The arriving job's size and class.
+    #[inline]
+    pub(crate) fn job(&mut self) -> (f64, u16) {
+        let size = self.sizes.sample(&mut self.rng_size);
+        let class = match &mut self.stamper {
+            Some((spec, rng)) => spec.stamp(rng.next_f64()),
+            None => 0,
+        };
+        (size, class)
+    }
+}
+
+/// Where a model's arrivals come from.
+enum Source {
+    /// Drawn as each arrival fires (the classic engine).
+    Live(ArrivalDraw),
+    /// Taken from this shard's feed of the parallel engine's shared
+    /// generator.
+    Feed(ShardFeed),
+}
+
 /// The arrival seam's state.
 pub(super) struct Front {
     /// Routes each arrival to a shard (trivial for one dispatcher).
@@ -56,19 +107,9 @@ pub(super) struct Front {
     pub(super) coord: Option<CoordState>,
     /// The sync plane, when configured.
     sync: Option<SyncSpec>,
-    arrivals: ArrivalKind,
-    sizes: BuiltDist,
     warmup: f64,
-    rng_arrival: Rng64,
-    rng_size: Rng64,
     rng_dispatch: Rng64,
-    /// When set, arrivals come from this shard's feed of the shared
-    /// arrival generator instead of the arrival/size streams (the PDES
-    /// shard path).
-    feed: Option<ShardFeed>,
-    /// The active malleable section and its class stamper's RNG stream
-    /// (live arrivals only; shard feeds carry pre-stamped classes).
-    stamper: Option<(MalleableSpec, Rng64)>,
+    source: Source,
 }
 
 impl Front {
@@ -80,12 +121,6 @@ impl Front {
         dispatch: u64,
     ) -> Self {
         let shards = cfg.dispatch.dispatchers;
-        // An absent or all-rigid section builds no stamper stream.
-        let stamper = cfg
-            .malleable
-            .clone()
-            .filter(|m| m.active() && feed.is_none())
-            .map(|spec| (spec, Rng64::stream(seed, MALLEABLE_STREAM)));
         Front {
             // D = 1 builds the trivial splitter: shard 0 always, no RNG.
             splitter: Splitter::new(&cfg.dispatch, seed),
@@ -99,14 +134,12 @@ impl Front {
                 },
             ),
             sync: cfg.dispatch.sync,
-            arrivals: cfg.arrivals.build(cfg.lambda()),
-            sizes: cfg.job_sizes.build(),
             warmup: cfg.warmup,
-            rng_arrival: Rng64::stream(seed, 0),
-            rng_size: Rng64::stream(seed, 1),
             rng_dispatch: Rng64::stream(seed, dispatch),
-            feed,
-            stamper,
+            source: match feed {
+                Some(feed) => Source::Feed(feed),
+                None => Source::Live(ArrivalDraw::new(cfg, seed)),
+            },
         }
     }
 
@@ -114,9 +147,9 @@ impl Front {
     /// sentinel, so its first entry (real or sentinel) mirrors the live
     /// path's always-pending next arrival.
     pub(super) fn first_arrival(&mut self) -> f64 {
-        match &mut self.feed {
-            Some(feed) => feed.first(),
-            None => self.arrivals.next_interarrival(&mut self.rng_arrival),
+        match &mut self.source {
+            Source::Feed(feed) => feed.first(),
+            Source::Live(draw) => draw.gap(),
         }
     }
 }
@@ -187,7 +220,7 @@ impl<P: Policy> Model<P> {
         }
         let needs_updates = self.policies[0].needs_load_updates();
         for id in self.done_buf.drain(..) {
-            let rec = self.slab.remove(id);
+            let rec = self.slab.take(id).expect("stale job id");
             debug_assert_eq!(rec.server, server);
             self.tally.complete(rec, server, now);
             if needs_updates {
@@ -230,24 +263,18 @@ impl<P: Policy> Model<P> {
         // arrival's gap first, then the size. The feed's final entry is
         // a past-horizon sentinel that is scheduled but never delivered,
         // mirroring the live path's always-pending next arrival.
-        let (size, class) = match &mut front.feed {
-            Some(feed) => {
+        let (size, class) = match &mut front.source {
+            Source::Feed(feed) => {
                 let (next, size, class) = feed.advance();
                 sched.schedule_at(SimTime::new(next), Ev::Arrival);
                 (size, class)
             }
-            None => {
-                let gap = front.arrivals.next_interarrival(&mut front.rng_arrival);
-                sched.schedule_in(gap, Ev::Arrival);
-                let size = front.sizes.sample(&mut front.rng_size);
-                // Class stamping draws from its own stream, once per
-                // live arrival (even for jobs lost to a total outage),
-                // keeping the stamper aligned with the PDES generator.
-                let class = match &mut front.stamper {
-                    Some((spec, rng)) => spec.stamp(rng.next_f64()),
-                    None => 0,
-                };
-                (size, class)
+            Source::Live(draw) => {
+                sched.schedule_in(draw.gap(), Ev::Arrival);
+                // Every live arrival draws its size and class, even a
+                // job lost to a total outage, keeping both streams
+                // aligned with the parallel engine's generator.
+                draw.job()
             }
         };
         if let Some(obs) = &mut self.tally.obs {
@@ -296,8 +323,8 @@ impl<P: Policy> Model<P> {
             // Retry attempts are extra decisions the global sequence
             // never saw — a small, documented phase perturbation.
             let tr = Transfer::new(self.slab.insert(record), shard);
-            let (tx, gen) = ch.insert(tr);
-            self.start_attempt(tx, gen, tr, false, now, sched);
+            let tx = ch.transfers.insert(tr);
+            self.start_attempt(tx, tr, false, now, sched);
         } else {
             // The shard's private policy instance picks the server. All
             // shards share the dispatch RNG stream, so with one shard the

@@ -101,7 +101,8 @@ impl<P: Policy> Model<P> {
         // server and lose the job.
         for id in evicted {
             if semantics == JobFaultSemantics::Lost {
-                self.tally.window.jobs_lost += u64::from(self.slab.remove(id).counted);
+                let rec = self.slab.take(id).expect("stale job id");
+                self.tally.window.jobs_lost += u64::from(rec.counted);
             } else {
                 self.resubmit(id, now, sched);
             }
@@ -111,7 +112,7 @@ impl<P: Policy> Model<P> {
     /// Pushes a crash-evicted job back through the dispatcher with its
     /// full service demand and original arrival time.
     fn resubmit(&mut self, id: JobId, now: f64, sched: &mut Scheduler<'_, Ev>) {
-        let mut rec = self.slab.remove(id);
+        let mut rec = self.slab.take(id).expect("stale job id");
         if self
             .faults
             .as_ref()
@@ -159,7 +160,7 @@ impl<P: Policy> Model<P> {
         // and original arrival time, so the outage shows up as response
         // time.
         for id in parked {
-            let mut rec = self.slab.remove(id);
+            let mut rec = self.slab.take(id).expect("stale job id");
             rec.degraded = true;
             debug_assert_eq!(rec.server, server);
             self.tally.window.jobs_restarted += u64::from(rec.counted);

@@ -104,14 +104,16 @@ impl<P: Policy> Model<P> {
         rt.advance(now);
         rt.reap_into(&mut tier.done);
         for job in tier.done.drain(..) {
-            let rec = self.slab.remove(self.slab.live_id(job.id));
+            let rec = (self.slab.key_at(job.id))
+                .and_then(|id| self.slab.take(id))
+                .expect("a tier job left the slab");
             self.tally.complete(rec, front, now);
         }
         let rt = &mut tier.runtimes[shard];
         if let Some((id, class, size)) = arrival {
             // The slab slot is the tier's key: the job stays live in the
             // slab until the tier reaps it.
-            rt.admit(id.index() as usize, class, size);
+            rt.admit(id.slot() as usize, class, size);
         }
         let (cores, speed_sum) = tier.capacity[shard];
         // Zero capacity (whole slice down) stalls the tier: rates drop

@@ -2,7 +2,8 @@
 //! machine (attempts, acks, retries, hedges and orphans), the load-plane
 //! path of update messages, and message loss on every plane.
 
-use hetsched_desim::{Rng64, Scheduler, Timer};
+use hetsched_desim::slab::Key;
+use hetsched_desim::{Rng64, Scheduler, Slab, Timer};
 
 use super::tally::Tally;
 use super::{Ev, Model};
@@ -44,14 +45,6 @@ impl Transfer {
             hedged: false,
         }
     }
-}
-
-/// Generational transfer slot: a stale `(tx, gen)` in a late event is an
-/// orphan (the transfer already resolved) and is dropped, never
-/// misapplied to a recycled slot.
-struct TxSlot {
-    gen: u32,
-    tr: Option<Transfer>,
 }
 
 /// One message plane: its unreliability and its own RNG stream. A
@@ -113,9 +106,11 @@ pub(super) struct Channels {
     pub(super) sync: Plane,
     retry: Option<RetrySpec>,
     hedge: Option<HedgeSpec>,
-    slots: Vec<TxSlot>,
-    free: Vec<u32>,
-    /// Slot `tx`'s retry timer is `timer_base + 2·tx`, its hedge timer
+    /// The unresolved transfers. A late event's stale key is an orphan
+    /// (its transfer already resolved) and is dropped, never misapplied
+    /// to a recycled slot.
+    pub(super) transfers: Slab<Transfer>,
+    /// Slot `s`'s retry timer is `timer_base + 2·s`, its hedge timer
     /// the next one.
     timer_base: usize,
 }
@@ -135,54 +130,26 @@ impl Channels {
             sync: plane(spec.sync, 2),
             retry: spec.retry,
             hedge: spec.hedge,
-            slots: Vec::new(),
-            free: Vec::new(),
+            transfers: Slab::new(),
             timer_base: cfg.speeds.len() + cfg.dispatch.dispatchers.max(1),
         })
     }
 
-    pub(super) fn insert(&mut self, tr: Transfer) -> (u32, u32) {
-        match self.free.pop() {
-            Some(tx) => {
-                let slot = &mut self.slots[tx as usize];
-                slot.tr = Some(tr);
-                (tx, slot.gen)
-            }
-            None => {
-                let tx = u32::try_from(self.slots.len())
-                    .expect("transfer slab index space (u32) exhausted");
-                self.slots.push(TxSlot {
-                    gen: 0,
-                    tr: Some(tr),
-                });
-                (tx, 0)
-            }
-        }
+    /// Transfer `tx`'s ack timeout timer.
+    fn retry_timer(&self, tx: Key) -> Timer {
+        Timer::new(self.timer_base + 2 * tx.slot() as usize)
     }
 
-    fn get_mut(&mut self, tx: u32, gen: u32) -> Option<&mut Transfer> {
-        let slot = self.slots.get_mut(tx as usize).filter(|s| s.gen == gen)?;
-        slot.tr.as_mut()
+    /// Transfer `tx`'s hedge timer.
+    fn hedge_timer(&self, tx: Key) -> Timer {
+        Timer::new(self.timer_base + 2 * tx.slot() as usize + 1)
     }
 
-    /// Slot `tx`'s ack timeout timer.
-    fn retry_timer(&self, tx: u32) -> Timer {
-        Timer::new(self.timer_base + 2 * tx as usize)
-    }
-
-    /// Slot `tx`'s hedge timer.
-    fn hedge_timer(&self, tx: u32) -> Timer {
-        Timer::new(self.timer_base + 2 * tx as usize + 1)
-    }
-
-    /// Resolves a transfer: disarms the slot's timers, frees the slot,
-    /// and bumps its generation so every copy still in the air becomes a
+    /// Resolves a transfer: disarms its timers and frees its slot, whose
+    /// generation moves on so every copy still in the air becomes a
     /// detectable orphan.
-    fn take(&mut self, tx: u32, gen: u32, sched: &mut Scheduler<'_, Ev>) -> Option<Transfer> {
-        let slot = self.slots.get_mut(tx as usize).filter(|s| s.gen == gen)?;
-        let tr = slot.tr.take()?;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(tx);
+    fn take(&mut self, tx: Key, sched: &mut Scheduler<'_, Ev>) -> Option<Transfer> {
+        let tr = self.transfers.take(tx)?;
         sched.disarm(self.retry_timer(tx));
         sched.disarm(self.hedge_timer(tx));
         Some(tr)
@@ -191,15 +158,14 @@ impl Channels {
 
 impl<P: Policy> Model<P> {
     /// Launches one dispatch attempt (primary, retransmission, or hedge
-    /// copy) of transfer `(tx, gen)`, whose state is `tr` once the
+    /// copy) of transfer `tx`, whose state is `tr` once the
     /// attempt is counted: the owning shard's policy picks a target
     /// against fresh queue lengths, the dispatch plane decides the
     /// copy's fate, and — for primary attempts — the ack timers are
     /// armed.
     pub(super) fn start_attempt(
         &mut self,
-        tx: u32,
-        gen: u32,
+        tx: Key,
         tr: Transfer,
         hedged: bool,
         now: f64,
@@ -208,7 +174,8 @@ impl<P: Policy> Model<P> {
         // Every attempt is a real dispatch decision: it re-consults the
         // policy (so retries see fresh believed state) and is counted by
         // the deviation tracker and the observability plane.
-        let target = self.pick(tr.shard, self.slab.get(tr.job).size, now);
+        let size = self.slab.get(tr.job).expect("stale job id").size;
+        let target = self.pick(tr.shard, size, now);
         self.tally.on_dispatch(tr.shard, target, now);
         let ch = self.channels.as_mut().expect("a transfer without channels");
         // The copy — and possibly a duplicate of it — crosses the plane.
@@ -220,7 +187,10 @@ impl<P: Policy> Model<P> {
             }
         }
         let copies = deliveries.iter().flatten().count() as u32;
-        let slot = ch.get_mut(tx, gen).expect("transfer vanished mid-attempt");
+        let slot = ch
+            .transfers
+            .get_mut(tx)
+            .expect("transfer vanished mid-attempt");
         slot.copies_in_flight += copies;
         let retry = ch.retry;
         match retry {
@@ -234,35 +204,27 @@ impl<P: Policy> Model<P> {
                 sched.arm(
                     ch.retry_timer(tx),
                     start.after(r.delay_for_attempt(tr.attempts - 1)),
-                    Ev::RetryTimer { tx, gen },
+                    Ev::RetryTimer { tx },
                 );
                 if let Some(h) = ch.hedge.filter(|_| tr.attempts == 1) {
                     sched.arm(
                         ch.hedge_timer(tx),
                         start.after(h.delay),
-                        Ev::HedgeTimer { tx, gen },
+                        Ev::HedgeTimer { tx },
                     );
                 }
             }
             // Fire-and-forget with every copy lost: the job dies at the
             // send. (A copy that was sent settles the transfer when it
             // lands.)
-            None if copies == 0 => self.abandon(tx, gen, sched),
+            None if copies == 0 => self.abandon(tx, sched),
             _ => {}
         }
         for d in deliveries.into_iter().flatten() {
             if d > 0.0 {
-                sched.schedule_in(
-                    d,
-                    Ev::DispatchDeliver {
-                        tx,
-                        gen,
-                        target,
-                        hedged,
-                    },
-                );
+                sched.schedule_in(d, Ev::DispatchDeliver { tx, target, hedged });
             } else {
-                self.deliver_dispatch(tx, gen, target, hedged, now, sched);
+                self.deliver_dispatch(tx, target, hedged, now, sched);
             }
         }
     }
@@ -271,8 +233,7 @@ impl<P: Policy> Model<P> {
     /// the job, and race the ack back.
     pub(super) fn deliver_dispatch(
         &mut self,
-        tx: u32,
-        gen: u32,
+        tx: Key,
         target: usize,
         hedged: bool,
         now: f64,
@@ -282,7 +243,7 @@ impl<P: Policy> Model<P> {
             return;
         };
         let retry = ch.retry.is_some();
-        let Some(tr) = ch.get_mut(tx, gen) else {
+        let Some(tr) = ch.transfers.get_mut(tx) else {
             return; // orphan copy: the transfer already resolved
         };
         tr.copies_in_flight = tr.copies_in_flight.saturating_sub(1);
@@ -294,7 +255,7 @@ impl<P: Policy> Model<P> {
             // With retries the timer recovers; without, the job dies
             // once no other copy is in the air.
             if !retry && tr.copies_in_flight == 0 {
-                self.abandon(tx, gen, sched);
+                self.abandon(tx, sched);
             }
             return;
         }
@@ -314,54 +275,45 @@ impl<P: Policy> Model<P> {
         // leaves the timers armed, and the retry timer settles the
         // (already delivered) transfer later.
         let acked = !retry || !ch.dispatch.lost(now, Some(target), &mut self.tally);
-        let rec = self.slab.get_mut(job);
+        let rec = self.slab.get_mut(job).expect("stale job id");
         rec.server = target;
         let size = rec.size;
         self.admit(target, job, size, now, sched);
         if acked {
             // The transfer is settled: disarm both timers, free the slot.
             if let Some(ch) = &mut self.channels {
-                ch.take(tx, gen, sched);
+                ch.take(tx, sched);
             }
         }
     }
 
     /// Orphan detection: the transfer is abandoned, its slab entry
     /// reclaimed, and the loss counted.
-    fn abandon(&mut self, tx: u32, gen: u32, sched: &mut Scheduler<'_, Ev>) {
-        if let Some(tr) = self
-            .channels
-            .as_mut()
-            .and_then(|ch| ch.take(tx, gen, sched))
-        {
-            self.tally.window.jobs_lost += u64::from(self.slab.remove(tr.job).counted);
+    fn abandon(&mut self, tx: Key, sched: &mut Scheduler<'_, Ev>) {
+        if let Some(tr) = self.channels.as_mut().and_then(|ch| ch.take(tx, sched)) {
+            let rec = self.slab.take(tr.job).expect("stale job id");
+            self.tally.window.jobs_lost += u64::from(rec.counted);
         }
     }
 
     /// The ack timeout fired: settle a delivered-but-unacked transfer,
     /// give up after `max_retries` retransmissions, or retransmit with
     /// exponential backoff.
-    pub(super) fn handle_retry_timer(
-        &mut self,
-        tx: u32,
-        gen: u32,
-        now: f64,
-        sched: &mut Scheduler<'_, Ev>,
-    ) {
+    pub(super) fn handle_retry_timer(&mut self, tx: Key, now: f64, sched: &mut Scheduler<'_, Ev>) {
         let Some(ch) = &mut self.channels else {
             return;
         };
         let max_retries = ch.retry.map_or(0, |r| r.max_retries);
-        let Some(tr) = ch.get_mut(tx, gen) else {
+        let Some(tr) = ch.transfers.get_mut(tx) else {
             return;
         };
         self.tally.window.timeouts += 1;
         if tr.delivered {
             // The job landed but every ack was lost: stop retransmitting
             // (the job must not run twice) and settle the transfer.
-            ch.take(tx, gen, sched);
+            ch.take(tx, sched);
         } else if tr.attempts > max_retries {
-            self.abandon(tx, gen, sched);
+            self.abandon(tx, sched);
         } else {
             tr.attempts += 1;
             let tr = *tr;
@@ -369,21 +321,19 @@ impl<P: Policy> Model<P> {
             if let Some(obs) = &mut self.tally.obs {
                 obs.on_retry();
             }
-            self.start_attempt(tx, gen, tr, false, now, sched);
+            self.start_attempt(tx, tr, false, now, sched);
         }
     }
 
     /// The hedge delay fired with no ack yet: send one more copy to a
     /// fresh pick of the owning shard's policy (first landing wins the
     /// race).
-    pub(super) fn handle_hedge_timer(
-        &mut self,
-        tx: u32,
-        gen: u32,
-        now: f64,
-        sched: &mut Scheduler<'_, Ev>,
-    ) {
-        let Some(tr) = self.channels.as_mut().and_then(|ch| ch.get_mut(tx, gen)) else {
+    pub(super) fn handle_hedge_timer(&mut self, tx: Key, now: f64, sched: &mut Scheduler<'_, Ev>) {
+        let Some(tr) = self
+            .channels
+            .as_mut()
+            .and_then(|ch| ch.transfers.get_mut(tx))
+        else {
             return;
         };
         if tr.delivered {
@@ -391,7 +341,7 @@ impl<P: Policy> Model<P> {
         }
         tr.hedged = true;
         let tr = *tr;
-        self.start_attempt(tx, gen, tr, true, now, sched);
+        self.start_attempt(tx, tr, true, now, sched);
     }
 
     /// A server noticed a departure: the update message crosses the load

@@ -78,13 +78,6 @@ hetsched_json::json_struct!(JobTrace {
     server,
 });
 
-impl JobTrace {
-    /// Response time `completion − arrival`.
-    pub fn response_time(&self) -> f64 {
-        self.completion - self.arrival
-    }
-}
-
 /// Collects sampled job traces during a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceCollector {
@@ -175,6 +168,11 @@ impl TraceCollector {
 
 #[cfg(test)]
 impl JobTrace {
+    /// Response time `completion − arrival` (a test oracle).
+    pub(crate) fn response_time(&self) -> f64 {
+        self.completion - self.arrival
+    }
+
     /// Response ratio `response_time / size` (a test oracle).
     pub(crate) fn response_ratio(&self) -> f64 {
         self.response_time() / self.size

@@ -18,8 +18,7 @@
 //!   the clock at exactly `t`, so time-weighted statistics can be closed
 //!   out at the horizon.
 
-use crate::queue::{EventQueue, FelStats};
-use crate::slab::EventId;
+use crate::queue::{EventId, EventQueue, FelStats};
 use crate::time::SimTime;
 use crate::timer::Timer;
 

@@ -13,6 +13,10 @@
 //!   cancellation by [`EventId`], and re-armable [`Timer`]s whose one
 //!   pending firing is replaced in place rather than left behind in the
 //!   heap (see [`queue`]).
+//! * [`Slab`] — reusable slots addressed by a `Copy` [`slab::Key`]
+//!   (slot + generation), so a stale key looks up nothing. One type
+//!   holds the event list's payloads (an [`EventId`] is a payload's
+//!   key) and the cluster model's in-flight jobs and unacked transfers.
 //! * [`Tournament`] — the `O(log N)` tournament tree that orders the
 //!   timers; the cluster crate's load-directed policies and Algorithm 2
 //!   run on it too.
@@ -64,15 +68,15 @@ pub mod check;
 pub mod engine;
 pub mod queue;
 pub mod rng;
-mod slab;
+pub mod slab;
 pub mod time;
 pub mod timer;
 pub mod tournament;
 
 pub use engine::{Actor, Engine, RunOutcome, Scheduler};
-pub use queue::{EventQueue, FelStats, ScheduledEvent};
+pub use queue::{EventId, EventQueue, FelStats, ScheduledEvent};
 pub use rng::{Rng64, SplitMix64};
-pub use slab::EventId;
+pub use slab::Slab;
 pub use time::SimTime;
 pub use timer::Timer;
 pub use tournament::{SlotOrder, Tournament, TreeKey};

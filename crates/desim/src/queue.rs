@@ -21,8 +21,9 @@
 //!
 //! The heap array holds only 24-byte `Copy` keys: the timestamp packed as
 //! an order-preserving `u64` (see `SimTime::key_bits`), a FIFO sequence
-//! number, and a `(slot, generation)` reference into the crate's private
-//! `PayloadSlab`. Sift operations therefore compare raw
+//! number, and the payload's [`Key`] in a
+//! [`Slab`], the same generational store that holds the cluster
+//! model's jobs and transfers. Sift operations therefore compare raw
 //! integers and never move payloads, and a pop decides whether the
 //! surfacing key is still live with a single generation comparison — the
 //! no-cancel fast path does no hashing at all.
@@ -51,9 +52,17 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::slab::{EventId, PayloadSlab};
+use crate::slab::{Key, Slab};
 use crate::time::SimTime;
 use crate::timer::{Timer, TimerSlots};
+
+/// Identifier of a scheduled event, used for cancellation: its
+/// payload's slab key.
+///
+/// The id is dead as soon as the event pops or is cancelled (the slot's
+/// generation moves on), so cancelling a completed event is a cheap,
+/// safe no-op.
+pub type EventId = Key;
 
 /// An event handed back by [`EventQueue::pop`], with its timestamp.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,21 +98,15 @@ pub struct FelStats {
     pub high_water: u64,
 }
 
-/// A heap key: packed timestamp, FIFO sequence number, and slab reference.
+/// A heap key: packed timestamp, FIFO sequence number, and slab key.
 #[derive(Clone, Copy)]
 struct Entry {
     time_bits: u64,
     seq: u64,
-    slot: u32,
-    gen: u32,
+    id: EventId,
 }
 
 impl Entry {
-    #[inline]
-    fn id(self) -> EventId {
-        EventId::new(self.slot, self.gen)
-    }
-
     #[inline]
     fn key(self) -> u128 {
         pack(self.time_bits, self.seq)
@@ -144,7 +147,7 @@ impl Ord for Entry {
 /// order)`.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry>,
-    slab: PayloadSlab<E>,
+    slab: Slab<E>,
     timers: TimerSlots<E>,
     next_seq: u64,
     scheduled_total: u64,
@@ -164,7 +167,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            slab: PayloadSlab::new(),
+            slab: Slab::new(),
             timers: TimerSlots::new(),
             next_seq: 0,
             scheduled_total: 0,
@@ -178,7 +181,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
-            slab: PayloadSlab::with_capacity(cap),
+            slab: Slab::with_capacity(cap),
             ..Self::new()
         }
     }
@@ -189,8 +192,7 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry {
             time_bits: time.key_bits(),
             seq: self.next_seq,
-            slot: id.slot(),
-            gen: id.gen(),
+            id,
         });
         self.next_seq += 1;
         self.scheduled_total += 1;
@@ -252,10 +254,7 @@ impl<E> EventQueue<E> {
                 return None;
             }
             let entry = self.heap.pop().expect("head_key saw a live head");
-            let payload = self
-                .slab
-                .take(entry.id())
-                .expect("head_key saw a live head");
+            let payload = self.slab.take(entry.id).expect("head_key saw a live head");
             (head, payload)
         } else {
             if timer > limit {
@@ -281,7 +280,7 @@ impl<E> EventQueue<E> {
     #[inline]
     fn head_key(&mut self) -> u128 {
         while let Some(&head) = self.heap.peek() {
-            if self.slab.is_live(head.id()) {
+            if self.slab.is_live(head.id) {
                 return head.key();
             }
             self.heap.pop();
@@ -291,7 +290,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events, counting each armed timer as one.
     pub fn len(&self) -> usize {
-        self.slab.live() + self.timers.armed()
+        self.slab.len() + self.timers.armed()
     }
 
     /// Whether no pending events remain.

@@ -201,11 +201,6 @@ impl DispatchSpec {
         self
     }
 
-    /// Whether the tier is the invisible single-dispatcher default path.
-    pub fn is_trivial(&self) -> bool {
-        self.dispatchers == 1 && self.sync.is_none()
-    }
-
     /// Validates the spec.
     ///
     /// # Errors
@@ -239,7 +234,6 @@ mod tests {
         let spec = DispatchSpec::default();
         assert_eq!(spec.dispatchers, 1);
         assert!(spec.sync.is_none());
-        assert!(spec.is_trivial());
         spec.validate().unwrap();
     }
 
@@ -248,7 +242,6 @@ mod tests {
         let spec = DispatchSpec::sharded(4, SplitterSpec::IidRandom)
             .with_sync(SyncSpec::every(500.0).with_latency(0.05));
         assert_eq!(spec.dispatchers, 4);
-        assert!(!spec.is_trivial());
         let sync = spec.sync.unwrap();
         assert_eq!(sync.interval, 500.0);
         assert_eq!(sync.latency, 0.05);

@@ -28,7 +28,6 @@
 pub mod arrivals;
 pub mod bounded_pareto;
 pub mod deterministic;
-pub mod empirical;
 pub mod exponential;
 pub mod hyperexp;
 pub mod lognormal;
@@ -40,7 +39,6 @@ pub mod weibull;
 pub use arrivals::{ArrivalProcess, IidArrivals, MmppArrivals};
 pub use bounded_pareto::BoundedPareto;
 pub use deterministic::Deterministic;
-pub use empirical::Empirical;
 pub use exponential::Exponential;
 pub use hyperexp::Hyperexp2;
 pub use lognormal::LogNormal;

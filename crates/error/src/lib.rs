@@ -5,8 +5,8 @@
 //! experiment harness — reports failures through [`HetschedError`]
 //! instead of panicking or passing bare `String`s around. The variants
 //! mirror the ways a heterogeneous cluster can be degenerate: no
-//! computers, every computer down, an arrival rate that saturates the
-//! aggregate capacity, or plain bad parameters.
+//! computers, an arrival rate that saturates the aggregate capacity, or
+//! plain bad parameters.
 //!
 //! The crate is dependency-free so every layer (including `queueing`,
 //! which sits below the simulator) can use it.
@@ -21,8 +21,6 @@ use std::fmt;
 pub enum HetschedError {
     /// The cluster/system has no computers at all.
     NoComputers,
-    /// Every computer in the (sub)set under consideration is down.
-    AllServersDown,
     /// The arrival rate meets or exceeds the aggregate service capacity,
     /// so no finite allocation exists (utilization ρ = λ/(μ·Σs) ≥ 1).
     Saturated,
@@ -37,9 +35,6 @@ pub enum HetschedError {
     /// Reading or writing JSON failed (the message names the member
     /// path or the line and column), or a JSONL/CSV export did.
     Serialization(String),
-    /// A bounded runtime structure (e.g. the job slab's `u32` index
-    /// space) ran out of room.
-    Capacity(String),
     /// An error wrapped with the context it occurred in.
     Context {
         /// What was being attempted (e.g. the sweep point's name).
@@ -73,7 +68,6 @@ impl fmt::Display for HetschedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HetschedError::NoComputers => write!(f, "system has no computers"),
-            HetschedError::AllServersDown => write!(f, "every computer in the system is down"),
             HetschedError::Saturated => write!(
                 f,
                 "arrival rate saturates the aggregate capacity (utilization ρ = λ/(μ·Σs) ≥ 1)"
@@ -83,7 +77,6 @@ impl fmt::Display for HetschedError {
             HetschedError::InvalidPolicy(msg) => write!(f, "{msg}"),
             HetschedError::Solver(msg) => write!(f, "solver failed: {msg}"),
             HetschedError::Serialization(msg) => write!(f, "serialization failed: {msg}"),
-            HetschedError::Capacity(msg) => write!(f, "capacity exhausted: {msg}"),
             HetschedError::Context { context, source } => write!(f, "{context}: {source}"),
         }
     }
@@ -151,18 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_variant_displays_cause() {
-        let e = HetschedError::Capacity("job slab index space (u32) full".into());
-        assert_eq!(
-            e.to_string(),
-            "capacity exhausted: job slab index space (u32) full"
-        );
-        assert_eq!(e.root_cause(), &e.clone());
-    }
-
-    #[test]
     fn converts_to_string() {
-        let s: String = HetschedError::AllServersDown.into();
-        assert_eq!(s, "every computer in the system is down");
+        let s: String = HetschedError::NoComputers.into();
+        assert_eq!(s, "system has no computers");
     }
 }
